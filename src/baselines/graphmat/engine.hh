@@ -27,6 +27,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/convergence_window.hh"
 #include "graph/csr.hh"
 #include "graph/edge_list.hh"
 #include "obs/obs.hh"
@@ -123,6 +124,8 @@ class GraphMatEngine
     {
         Timer timer;
         GraphMatReport report;
+        // The superstep is the sample window.
+        ConvergenceWindow conv(convergence, 0.0);
         std::vector<Value> x(nVertices);
         for (VertexId v = 0; v < nVertices; v++)
             x[v] = program.init(v, nVertices);
@@ -187,26 +190,18 @@ class GraphMatEngine
                 ? std::count(active.begin(), active.end(), char(1))
                 : moved;
             report.iterations++;
-            if constexpr (obs::kEnabled) {
-                if (convergence) {
-                    obs::ConvergencePoint pt;
-                    pt.epochs =
-                        static_cast<double>(report.vertexUpdates) /
-                        std::max<double>(nVertices, 1.0);
-                    pt.residual = step_l1;
-                    pt.activeVertices = moved;
-                    pt.vertexUpdates = report.vertexUpdates;
-                    pt.edgeTraversals = report.edgesProcessed;
-                    pt.wallSeconds = timer.seconds();
-                    // The BSP superstep IS the sample window: record
-                    // the last one as final so the curve always ends
-                    // on the terminating superstep.
-                    if (active_count == 0 ||
-                        report.iterations >= max_iters)
-                        convergence->recordFinal(pt);
-                    else
-                        convergence->record(pt);
-                }
+            conv.add(step_l1, moved);
+            const double epochs =
+                static_cast<double>(report.vertexUpdates) /
+                std::max<double>(nVertices, 1.0);
+            // Record the last superstep as final so the curve always
+            // ends on the terminating superstep.
+            if (active_count == 0 || report.iterations >= max_iters) {
+                conv.finish(epochs, report.vertexUpdates,
+                            report.edgesProcessed, timer);
+            } else {
+                conv.sample(epochs, report.vertexUpdates,
+                            report.edgesProcessed, timer);
             }
             if (iter_fn && iter_fn(report.iterations, x)) {
                 report.converged = true;

@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/convergence_window.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
 #include "core/state.hh"
@@ -175,47 +176,12 @@ class SerialEngine
             sched.activate(b, initialActivationPriority());
     }
 
-    /**
-     * Residual accumulator for one convergence sample window.  Only
-     * mutated inside `if constexpr (obs::kEnabled)` sections, so the
-     * OFF build's loop body is unchanged.
-     */
-    struct ConvWindow
-    {
-        double l1 = 0.0;            //!< sum of block l1Delta
-        std::uint64_t active = 0;   //!< vertices moved > tol
-    };
-
-    /** Publish one sample into options.convergence and reset `win`. */
-    void
-    sampleConvergence(EngineReport &report, const Timer &timer,
-                      ConvWindow &win, bool final)
-    {
-        if constexpr (obs::kEnabled) {
-            report.residual = win.l1;
-            if (options.convergence) {
-                obs::ConvergencePoint p;
-                p.epochs = report.epochs;
-                p.residual = win.l1;
-                p.activeVertices = win.active;
-                p.vertexUpdates = report.vertexUpdates;
-                p.edgeTraversals = report.edgeTraversals;
-                p.wallSeconds = timer.seconds();
-                if (final)
-                    options.convergence->recordFinal(p);
-                else
-                    options.convergence->record(p);
-            }
-            win = ConvWindow{};
-        }
-    }
-
     /** @return true when the StopFn asks to end the run. */
     bool
     maybeTrace(EngineReport &report, const BcdState<Program> &state,
                const TraceFn &trace_fn, const StopFn &stop_fn,
                double &next_trace, double block_delta,
-               const Timer &timer, ConvWindow &win)
+               const Timer &timer, ConvergenceWindow &win)
     {
         if (options.traceInterval <= 0.0)
             return false;
@@ -223,7 +189,8 @@ class SerialEngine
             return false;
         next_trace += options.traceInterval;
         report.trace.push_back(TracePoint{report.epochs, block_delta});
-        sampleConvergence(report, timer, win, false);
+        report.residual = win.sample(report.epochs, report.vertexUpdates,
+                                     report.edgeTraversals, timer);
         if (trace_fn)
             trace_fn(report.epochs, state.values());
         return stop_fn && stop_fn(report.epochs, state.values());
@@ -250,7 +217,7 @@ class SerialEngine
             "engine.serial.scatter_fanout", obs::fanoutBuckets());
 
         double next_trace = options.traceInterval;
-        ConvWindow win;
+        ConvergenceWindow win(options.convergence, options.traceInterval);
         BlockUpdate<Value> update;
         while (auto b = sched->next()) {
             std::uint64_t block_scatter = 0;
@@ -270,10 +237,7 @@ class SerialEngine
             report.vertexUpdates += update.newValues.size();
             report.edgeTraversals += graph.blockEdgeCount(*b);
             report.epochs = static_cast<double>(report.vertexUpdates) / n;
-            if constexpr (obs::kEnabled) {
-                win.l1 += update.l1Delta;
-                win.active += update.changed;
-            }
+            win.add(update.l1Delta, update.changed);
             publishProgress(report);
             if (options.stop.stopRequested()) {
                 report.stopped = true;
@@ -288,7 +252,8 @@ class SerialEngine
             if (report.epochs >= options.maxEpochs)
                 break;
         }
-        sampleConvergence(report, timer, win, true);
+        report.residual = win.finish(report.epochs, report.vertexUpdates,
+                                     report.edgeTraversals, timer);
         report.converged = sched->empty();
         report.seconds = timer.seconds();
         return report;
@@ -307,7 +272,7 @@ class SerialEngine
         seedScheduler(*sched);
 
         double next_trace = options.traceInterval;
-        ConvWindow win;
+        ConvergenceWindow win(options.convergence, options.traceInterval);
         std::vector<BlockId> wave;
         std::vector<BlockUpdate<Value>> updates;
         while (!sched->empty()) {
@@ -336,12 +301,9 @@ class SerialEngine
                 report.vertexUpdates += update.newValues.size();
                 report.edgeTraversals += graph.blockEdgeCount(update.block);
                 wave_delta += update.l1Delta;
-                if constexpr (obs::kEnabled)
-                    win.active += update.changed;
+                win.add(update.l1Delta, update.changed);
             }
             report.epochs = static_cast<double>(report.vertexUpdates) / n;
-            if constexpr (obs::kEnabled)
-                win.l1 += wave_delta;
             publishProgress(report);
             if (options.stop.stopRequested()) {
                 report.stopped = true;
@@ -356,7 +318,8 @@ class SerialEngine
             if (report.epochs >= options.maxEpochs)
                 break;
         }
-        sampleConvergence(report, timer, win, true);
+        report.residual = win.finish(report.epochs, report.vertexUpdates,
+                                     report.edgeTraversals, timer);
         report.converged = sched->empty();
         report.seconds = timer.seconds();
         return report;

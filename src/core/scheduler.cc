@@ -96,6 +96,7 @@ PriorityScheduler::next()
             continue;   // stale
         }
         active[top.block] = 0;
+        popped = prio[top.block];
         prio[top.block] = 0.0;   // processed: gradient estimate consumed
         pushedPrio[top.block] = 0.0;
         nActive--;
@@ -376,7 +377,7 @@ ObimScheduler::next()
         if (queued[*b].exchange(0, std::memory_order_acq_rel) != 0) {
             nQueued.fetch_sub(1, std::memory_order_relaxed);
             // Processed: the gradient estimate is consumed.
-            prio[*b].store(0.0, std::memory_order_relaxed);
+            popped = prio[*b].exchange(0.0, std::memory_order_relaxed);
             popLevelHist.record(static_cast<double>(level));
             return *b;
         }
@@ -406,6 +407,18 @@ ObimScheduler::counters() const
     snap.staleDiscards = cStaleDiscards.load(std::memory_order_relaxed);
     snap.refreshes = cRefreshes.load(std::memory_order_relaxed);
     return snap;
+}
+
+void
+flushSchedulerCounters(const BlockScheduler &sched)
+{
+    if constexpr (obs::kEnabled) {
+        const SchedulerCounters c = sched.counters();
+        obs::counter("scheduler.activations").add(c.activations);
+        obs::counter("scheduler.heap_pushes").add(c.heapPushes);
+        obs::counter("scheduler.stale_discards").add(c.staleDiscards);
+        obs::counter("scheduler.refreshes").add(c.refreshes);
+    }
 }
 
 // --------------------------------------------------------------- factory

@@ -109,6 +109,13 @@ class BlockScheduler
     /** @return current priority estimate of block b (0 if unsupported). */
     virtual double priority(BlockId) const { return 0.0; }
 
+    /**
+     * @return the priority estimate the last next() consumed (0 for the
+     * order-based rules), so a caller that cannot process the block yet
+     * can hand it back through activate() without losing its weight.
+     */
+    double lastPriority() const { return popped; }
+
     /** @return cumulative work counters (heap fields 0 if heapless). */
     virtual const SchedulerCounters &counters() const { return stats; }
 
@@ -125,6 +132,7 @@ class BlockScheduler
 
   protected:
     SchedulerCounters stats;
+    double popped = 0.0;   //!< priority consumed by the last next()
 };
 
 /**
@@ -313,6 +321,10 @@ class ObimScheduler : public BlockScheduler
     std::atomic<std::uint64_t> cRefreshes{0};
     mutable SchedulerCounters snap;
 };
+
+/** Fold a finished run's scheduler counters into the metrics registry
+ *  (scheduler.activations, .heap_pushes, .stale_discards, .refreshes). */
+void flushSchedulerCounters(const BlockScheduler &sched);
 
 /** Factory keyed by the EngineOptions schedule.
  *  @param num_workers push-side sizing hint, only used by Obim. */

@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/convergence_window.hh"
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
@@ -127,24 +128,20 @@ class FragmentEngine
             std::uint64_t blockUpdates = 0;
             std::uint64_t sent = 0;
             std::uint64_t received = 0;
-            double winL1 = 0.0;
-            std::uint64_t winActive = 0;
-            double nextSample = 0.0;
-            std::shared_ptr<obs::ConvergenceSeries> series;
+            ConvergenceWindow conv;   //!< the fragment's own series
         };
         std::vector<std::unique_ptr<FragCtl>> frags(nFrags);
-        const double sampleInterval =
-            options.traceInterval > 0.0 ? options.traceInterval : 1.0;
         for (FragmentId f = 0; f < nFrags; f++) {
             frags[f] = std::make_unique<FragCtl>();
             frags[f]->shard = std::make_unique<FragmentShard<Program>>(
                 graph, topology_, f, program, options);
-            frags[f]->nextSample = sampleInterval;
             if constexpr (obs::kEnabled) {
                 if (options.convergence) {
-                    frags[f]->series = obs::beginConvergence(
-                        options.convergence->label() + ".frag" +
-                        std::to_string(f));
+                    frags[f]->conv = ConvergenceWindow(
+                        obs::beginConvergence(
+                            options.convergence->label() + ".frag" +
+                            std::to_string(f)),
+                        options.traceInterval);
                 }
             }
         }
@@ -263,29 +260,13 @@ class FragmentEngine
                         work->scatterWrites);
                 }
                 if constexpr (obs::kEnabled) {
-                    fc.winL1 += work->l1Delta;
-                    fc.winActive += work->changed;
-                    if (fc.series) {
-                        const double ep =
-                            static_cast<double>(vertex_updates.load(
-                                std::memory_order_relaxed)) /
-                            n;
-                        if (ep + 1e-12 >= fc.nextSample) {
-                            fc.nextSample = ep + sampleInterval;
-                            obs::ConvergencePoint pt;
-                            pt.epochs = ep;
-                            pt.residual = fc.winL1;
-                            pt.activeVertices = fc.winActive;
-                            pt.vertexUpdates = vertex_updates.load(
-                                std::memory_order_relaxed);
-                            pt.edgeTraversals = edge_traversals.load(
-                                std::memory_order_relaxed);
-                            pt.wallSeconds = timer.seconds();
-                            fc.series->record(pt);
-                            fc.winL1 = 0.0;
-                            fc.winActive = 0;
-                        }
-                    }
+                    fc.conv.add(work->l1Delta, work->changed);
+                    const std::uint64_t updates =
+                        vertex_updates.load(std::memory_order_relaxed);
+                    fc.conv.maybeSample(
+                        static_cast<double>(updates) / n, updates,
+                        edge_traversals.load(std::memory_order_relaxed),
+                        timer);
                 }
             }
 
@@ -384,7 +365,7 @@ class FragmentEngine
                                     nFrags),
             1, nFrags);
         std::shared_ptr<Executor> exec =
-            options.executor ? options.executor : Executor::shared();
+            Executor::orShared(options.executor);
         std::shared_ptr<Executor::Job> job =
             exec->createJob(participants);
         std::atomic<std::uint32_t> offsetSeq{1};
@@ -404,8 +385,6 @@ class FragmentEngine
         // ---- stitch results and build the report ----
         out_values.resize(graph.numVertices());
         stats_.assign(nFrags, FragmentRunStats{});
-        double residual = 0.0;
-        std::uint64_t win_active = 0;
         for (FragmentId f = 0; f < nFrags; f++) {
             const FragCtl &fc = *frags[f];
             const FragmentShard<Program> &shard = *fc.shard;
@@ -414,9 +393,7 @@ class FragmentEngine
             stats_[f].blockUpdates = fc.blockUpdates;
             stats_[f].messagesSent = fc.sent;
             stats_[f].messagesReceived = fc.received;
-            stats_[f].residual = fc.winL1;
-            residual += fc.winL1;
-            win_active += fc.winActive;
+            stats_[f].residual = fc.conv.residual();
             flushSchedulerCounters(shard.scheduler());
         }
 
@@ -430,51 +407,21 @@ class FragmentEngine
         // proof of global quiescence does.
         report.converged =
             quiesced.load(std::memory_order_relaxed) && !report.stopped;
-        report.seconds = timer.seconds();
-        if constexpr (obs::kEnabled) {
-            report.residual = residual;
-            for (FragmentId f = 0; f < nFrags; f++) {
-                FragCtl &fc = *frags[f];
-                if (!fc.series)
-                    continue;
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = fc.winL1;
-                pt.activeVertices = fc.winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = report.seconds;
-                fc.series->recordFinal(pt);
-            }
-            if (options.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = report.epochs;
-                pt.residual = residual;
-                pt.activeVertices = win_active;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = report.seconds;
-                options.convergence->recordFinal(pt);
-            }
+        // The run's final sample sums the fragments' open windows.
+        ConvergenceWindow total(options.convergence, options.traceInterval);
+        for (FragmentId f = 0; f < nFrags; f++) {
+            ConvergenceWindow &conv = frags[f]->conv;
+            conv.finish(report.epochs, report.vertexUpdates,
+                        report.edgeTraversals, timer);
+            total.add(conv.residual(), conv.active());
         }
+        report.residual = total.finish(report.epochs, report.vertexUpdates,
+                                       report.edgeTraversals, timer);
+        report.seconds = timer.seconds();
         return report;
     }
 
   private:
-    /** Fold a shard's scheduler counters into the registry. */
-    static void
-    flushSchedulerCounters(const BlockScheduler &sched)
-    {
-        if constexpr (obs::kEnabled) {
-            const SchedulerCounters c = sched.counters();
-            obs::counter("scheduler.activations").add(c.activations);
-            obs::counter("scheduler.heap_pushes").add(c.heapPushes);
-            obs::counter("scheduler.stale_discards")
-                .add(c.staleDiscards);
-            obs::counter("scheduler.refreshes").add(c.refreshes);
-        }
-    }
-
     const BlockPartition &graph;
     Program program;
     EngineOptions options;

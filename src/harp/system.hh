@@ -35,6 +35,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/convergence_window.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
 #include "core/state.hh"
@@ -116,7 +117,8 @@ class HarpSystem
         nextTrace = engineOpt.traceInterval > 0.0
             ? engineOpt.traceInterval
             : 1.0;
-        nextConvSample = convInterval();
+        conv = ConvergenceWindow(engineOpt.convergence,
+                                 engineOpt.traceInterval);
 
         if (engineOpt.mode == ExecMode::Bsp)
             startWave();
@@ -483,10 +485,7 @@ class HarpSystem
         report.edgeTraversals += graph.blockEdgeCount(task.block);
         inflight--;
         endTime = std::max(endTime, now);
-        if constexpr (obs::kEnabled) {
-            winL1 += task.update.l1Delta;
-            winActive += task.update.changed;
-        }
+        conv.add(task.update.l1Delta, task.update.changed);
         recordConvergence(/*final=*/false);
         if (engineOpt.progress) {
             engineOpt.progress->publish(report.vertexUpdates,
@@ -542,10 +541,7 @@ class HarpSystem
                 [this](BlockId dst, double delta) {
                     sched->activate(dst, delta);
                 });
-            if constexpr (obs::kEnabled) {
-                winL1 += task.update.l1Delta;
-                winActive += task.update.changed;
-            }
+            conv.add(task.update.l1Delta, task.update.changed);
         }
         waveDone.clear();
         recordConvergence(/*final=*/false);
@@ -556,13 +552,6 @@ class HarpSystem
     }
 
     // -------------------------------------------------- observability
-
-    double
-    convInterval() const
-    {
-        return engineOpt.traceInterval > 0.0 ? engineOpt.traceInterval
-                                             : 1.0;
-    }
 
     /**
      * Publish one convergence sample (simulated + wall time) and keep
@@ -578,11 +567,8 @@ class HarpSystem
             const double epochs =
                 static_cast<double>(report.vertexUpdates) /
                 std::max<double>(graph.numVertices(), 1.0);
-            if (!final) {
-                if (epochs + 1e-12 < nextConvSample)
-                    return;
-                nextConvSample = epochs + convInterval();
-            }
+            if (!final && !conv.due(epochs))
+                return;
             const double now = events.now();
             if (now > 0.0) {
                 double busy = 0.0;
@@ -592,22 +578,13 @@ class HarpSystem
                     .set(busy /
                          (static_cast<double>(totalPes()) * now));
             }
-            if (engineOpt.convergence) {
-                obs::ConvergencePoint pt;
-                pt.epochs = epochs;
-                pt.residual = winL1;
-                pt.activeVertices = winActive;
-                pt.vertexUpdates = report.vertexUpdates;
-                pt.edgeTraversals = report.edgeTraversals;
-                pt.wallSeconds = wallTimer.seconds();
-                pt.simSeconds = now;
-                if (final)
-                    engineOpt.convergence->recordFinal(pt);
-                else
-                    engineOpt.convergence->record(pt);
+            if (final) {
+                conv.finish(epochs, report.vertexUpdates,
+                            report.edgeTraversals, wallTimer, now);
+            } else {
+                conv.sample(epochs, report.vertexUpdates,
+                            report.edgeTraversals, wallTimer, now);
             }
-            winL1 = 0.0;
-            winActive = 0;
         }
     }
 
@@ -680,9 +657,7 @@ class HarpSystem
     std::uint64_t inflight = 0;
     double endTime = 0.0;
     Timer wallTimer;
-    double winL1 = 0.0;          //!< convergence window accumulators:
-    std::uint64_t winActive = 0; //!< touched only when obs is enabled
-    double nextConvSample = 1.0;
+    ConvergenceWindow conv;
     bool stopped = false;      //!< StopFn convergence fired
     bool cancelled = false;    //!< EngineOptions::stop fired
     double nextTrace = 1.0;

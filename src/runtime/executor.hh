@@ -134,6 +134,14 @@ class Executor
      */
     static const std::shared_ptr<Executor> &shared();
 
+    /** @return `pool` when set, else the process-wide shared() pool
+     *  (how EngineOptions::executor is resolved). */
+    static std::shared_ptr<Executor>
+    orShared(std::shared_ptr<Executor> pool)
+    {
+        return pool ? std::move(pool) : shared();
+    }
+
     /**
      * Open a submission handle.
      * @param max_participation most tasks of this job that may occupy

@@ -2,13 +2,12 @@
  * @file
  * Per-tenant QoS admission — the serve layer's multi-tenant front door.
  *
- * The single bounded priority heap (runtime/admission_queue.hh) treats
- * every submitter alike, so one chatty client fills the queue and
- * starves everyone else.  FairShareQueue replaces it with one FIFO
- * *lane per tenant* (each lane internally the same max-priority /
- * FIFO-within-class heap, so priority and deadline semantics are
- * preserved *within* a tenant) plus a virtual-time weighted-fair
- * picker across lanes:
+ * A single bounded priority heap treats every submitter alike, so one
+ * chatty client fills the queue and starves everyone else.
+ * FairShareQueue keeps one FIFO *lane per tenant* (each lane internally
+ * a max-priority / FIFO-within-class heap, so priority and deadline
+ * semantics are preserved *within* a tenant) plus a virtual-time
+ * weighted-fair picker across lanes:
  *
  *  - every lane carries a virtual clock `vtime` advanced by 1/weight
  *    per job served; pop() serves the eligible lane with the smallest
@@ -29,9 +28,8 @@
  *    the (tied-)most over-share, nobody else should pay — the push
  *    reports Full and the flooder gets plain backpressure.
  *
- * Same close() semantics as AdmissionQueue: after close() pushes fail
- * and consumers drain the backlog (quotas ignored — shutdown skips
- * jobs anyway), then see std::nullopt.
+ * After close() pushes fail and consumers drain the backlog (quotas
+ * ignored — shutdown skips jobs anyway), then see std::nullopt.
  */
 
 #ifndef GRAPHABCD_SERVE_QOS_HH
@@ -50,10 +48,21 @@
 #include <vector>
 
 #include "obs/obs.hh"
-#include "runtime/task_queue.hh"   // PopStatus
 #include "support/timer.hh"
 
 namespace graphabcd {
+
+/**
+ * Outcome of a non-blocking dequeue.  Empty and Drained are distinct on
+ * purpose: a non-blocking consumer that treats them the same spins
+ * forever once the queue is closed and emptied.
+ */
+enum class PopStatus
+{
+    Ok,      //!< an item was dequeued
+    Empty,   //!< nothing available right now — retrying can succeed
+    Drained, //!< closed and empty — no item will ever arrive
+};
 
 /** Per-tenant fair-share parameters. */
 struct TenantQos

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
 #include <thread>
 
 #include "algorithms/pagerank.hh"
@@ -16,7 +19,9 @@
 #include "algorithms/sssp.hh"
 #include "core/async_engine.hh"
 #include "core/stop_token.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
+#include "runtime/executor.hh"
 
 namespace graphabcd {
 namespace {
@@ -335,6 +340,55 @@ TEST(AsyncEngine, HugeMaxEpochsDoesNotOverflowTheUpdateBudget)
     std::vector<double> ref = pagerankReference(el, 0.85);
     for (VertexId v = 0; v < el.numVertices(); v++)
         ASSERT_NEAR(x[v], ref[v], 1e-6) << "vertex " << v;
+}
+
+/**
+ * The one-holder rule of the block driver.  If a second participant
+ * could claim a block that another participant still holds, the older
+ * update could commit last and overwrite a shorter distance.  Eight
+ * pool workers on a host with fewer cores preempt participants
+ * mid-block, which is when two claims would overlap.  SSSP with
+ * tolerance 0 is exact, so every run must match Dijkstra bit for bit.
+ * A run misses at about 5% per run without the rule, so the default
+ * 150 runs fail it almost surely.  Under TSan a run costs about 1.5 s,
+ * so the default drops to 16 there.  GRAPHABCD_ASYNC_STRESS_ITERS
+ * scales the run count (tools/ci.sh raises it on the TSan leg).
+ */
+TEST(AsyncStress, PrioritySsspIsExactOnAnOversubscribedPool)
+{
+#ifdef __SANITIZE_THREAD__
+    int iters = 16;
+#else
+    int iters = 150;
+#endif
+    if (const char *env = std::getenv("GRAPHABCD_ASYNC_STRESS_ITERS"))
+        iters = std::max(1, std::atoi(env));
+
+    const Dataset ds = makeDataset("PS", 0.25, 1);
+    const BlockPartition g(ds.graph, 512,
+                           {GraphLayout::Compressed, VertexReorder::Hub});
+    const auto deg = ds.graph.outDegrees();
+    const auto hub = static_cast<VertexId>(
+        std::max_element(deg.begin(), deg.end()) - deg.begin());
+    const std::vector<double> ref = dijkstraReference(ds.graph, hub);
+    auto pool = std::make_shared<Executor>(8);
+
+    for (int it = 0; it < iters; it++) {
+        EngineOptions opt;
+        opt.blockSize = 512;
+        opt.schedule = Schedule::Priority;
+        opt.numThreads = 8;
+        opt.tolerance = 0.0;
+        opt.executor = pool;
+        AsyncEngine<SsspProgram> engine(
+            g, SsspProgram(g.permutation().toInternal(hub)), opt);
+        std::vector<double> dist;
+        ASSERT_TRUE(engine.run(dist).converged) << "run " << it;
+        for (VertexId v = 0; v < ds.graph.numVertices(); v++) {
+            ASSERT_EQ(dist[g.permutation().toInternal(v)], ref[v])
+                << "run " << it << " vertex " << v;
+        }
+    }
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests of the runtime substrate: task queue, SPSC ring, thread pool,
- * spin barrier.
+ * Tests of the runtime substrate: the SPSC ring.
  */
 
 #include <gtest/gtest.h>
@@ -12,122 +11,9 @@
 #include <vector>
 
 #include "runtime/spsc_ring.hh"
-#include "runtime/task_queue.hh"
-#include "runtime/thread_pool.hh"
 
 namespace graphabcd {
 namespace {
-
-TEST(TaskQueue, FifoOrderSingleThread)
-{
-    TaskQueue<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), 3);
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(TaskQueue, TryOpsrespectCapacity)
-{
-    TaskQueue<int> q(2);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_FALSE(q.tryPush(3));   // full
-    EXPECT_EQ(q.tryPop(), 1);
-    EXPECT_TRUE(q.tryPush(3));
-}
-
-TEST(TaskQueue, CloseDrainsThenEnds)
-{
-    TaskQueue<int> q;
-    q.push(7);
-    q.close();
-    EXPECT_FALSE(q.push(8));       // rejected after close
-    EXPECT_EQ(q.pop(), 7);         // drain
-    EXPECT_EQ(q.pop(), std::nullopt);
-    EXPECT_TRUE(q.isClosed());
-}
-
-TEST(TaskQueue, TryPopReportsEmptyVsDrained)
-{
-    TaskQueue<int> q;
-    int out = 0;
-    EXPECT_EQ(q.tryPop(out), PopStatus::Empty);   // open: retry later
-    q.push(1);
-    EXPECT_EQ(q.tryPop(out), PopStatus::Ok);
-    EXPECT_EQ(out, 1);
-    q.push(2);
-    q.close();
-    EXPECT_EQ(q.tryPop(out), PopStatus::Ok);      // backlog drains
-    EXPECT_EQ(out, 2);
-    EXPECT_EQ(q.tryPop(out), PopStatus::Drained); // terminal
-    EXPECT_TRUE(q.isDrained());
-}
-
-TEST(TaskQueue, NonBlockingConsumerTerminatesAfterClose)
-{
-    // Regression: with only the optional-returning tryPop a polling
-    // consumer cannot tell "empty for now" from "closed and drained"
-    // and spins forever after close().
-    TaskQueue<int> q(8);
-    std::atomic<int> consumed{0};
-    std::thread consumer([&] {
-        int item;
-        for (;;) {
-            switch (q.tryPop(item)) {
-              case PopStatus::Ok:
-                consumed.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case PopStatus::Empty:
-                std::this_thread::yield();
-                break;
-              case PopStatus::Drained:
-                return;
-            }
-        }
-    });
-    for (int i = 0; i < 100; i++)
-        q.push(i);
-    q.close();
-    consumer.join();   // hangs forever without the tri-state
-    EXPECT_EQ(consumed.load(), 100);
-}
-
-TEST(TaskQueue, MpmcConservesItems)
-{
-    TaskQueue<int> q(64);
-    constexpr int producers = 3, consumers = 3, per_producer = 2000;
-    std::atomic<long long> sum{0};
-    std::atomic<int> popped{0};
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < producers; p++) {
-        threads.emplace_back([&q, p] {
-            for (int i = 0; i < per_producer; i++)
-                q.push(p * per_producer + i);
-        });
-    }
-    for (int c = 0; c < consumers; c++) {
-        threads.emplace_back([&] {
-            while (auto v = q.pop()) {
-                sum += *v;
-                popped++;
-            }
-        });
-    }
-    for (int p = 0; p < producers; p++)
-        threads[p].join();
-    q.close();
-    for (int c = 0; c < consumers; c++)
-        threads[producers + c].join();
-
-    const long long n = producers * per_producer;
-    EXPECT_EQ(popped.load(), n);
-    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
 
 TEST(SpscRing, FifoAndCapacity)
 {
@@ -266,56 +152,6 @@ TEST(SpscRing, ProducerConsumerStress)
     }
     producer.join();
     EXPECT_EQ(sum, static_cast<long long>(items) * (items - 1) / 2);
-}
-
-TEST(ThreadPool, RunsEverySubmittedClosure)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 1000; i++)
-        pool.submit([&count] { count++; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, DrainIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count++; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { count++; });
-    pool.submit([&count] { count++; });
-    pool.drain();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(SpinBarrier, SynchronisesPhases)
-{
-    constexpr int nthreads = 4, rounds = 50;
-    SpinBarrier barrier(nthreads);
-    std::atomic<int> phase_counter{0};
-    std::atomic<bool> violation{false};
-
-    auto worker = [&] {
-        for (int r = 0; r < rounds; r++) {
-            phase_counter++;
-            barrier.arriveAndWait();
-            // After the barrier every participant of round r has
-            // incremented: the counter must be a multiple boundary.
-            if (phase_counter.load() < (r + 1) * nthreads)
-                violation = true;
-            barrier.arriveAndWait();
-        }
-    };
-    std::vector<std::thread> threads;
-    for (int t = 0; t < nthreads; t++)
-        threads.emplace_back(worker);
-    for (auto &t : threads)
-        t.join();
-    EXPECT_FALSE(violation.load());
-    EXPECT_EQ(phase_counter.load(), nthreads * rounds);
 }
 
 } // namespace

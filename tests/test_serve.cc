@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the serve layer: admission queue ordering and backpressure,
- * the tenant-aware FairShareQueue (weighted interleave, quotas,
- * displacement shedding, deadline admission control), stop tokens and
+ * Tests of the serve layer: the tenant-aware FairShareQueue (weighted
+ * interleave, quotas, displacement shedding, deadline admission
+ * control), stop tokens and
  * halt-cause attribution, result-cache LRU/TTL/fingerprinting, the
  * graph registry, and the JobManager end-to-end — concurrent jobs must
  * match direct engine runs, cancellation must not block other jobs, a
@@ -22,7 +22,6 @@
 
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
-#include "runtime/admission_queue.hh"
 #include "algorithms/reference.hh"
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
@@ -67,44 +66,6 @@ endlessRequest(const std::string &graph)
 }
 
 // ---------------------------------------------------------------------
-// AdmissionQueue
-
-TEST(AdmissionQueue, PriorityOrderFifoWithinClass)
-{
-    AdmissionQueue<int> q(8);
-    ASSERT_TRUE(q.tryPush(1, 0.0));
-    ASSERT_TRUE(q.tryPush(2, 5.0));
-    ASSERT_TRUE(q.tryPush(3, 0.0));
-    ASSERT_TRUE(q.tryPush(4, 5.0));
-    EXPECT_EQ(q.pop(), 2);   // highest priority first...
-    EXPECT_EQ(q.pop(), 4);   // ...FIFO among equals
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(AdmissionQueue, RejectsWhenFullInsteadOfBlocking)
-{
-    AdmissionQueue<int> q(2);
-    EXPECT_TRUE(q.tryPush(1, 0.0));
-    EXPECT_TRUE(q.tryPush(2, 0.0));
-    EXPECT_FALSE(q.tryPush(3, 9.0));   // full: rejected, not parked
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_TRUE(q.tryPush(3, 0.0));    // slot freed
-}
-
-TEST(AdmissionQueue, CloseDrainsBacklogThenSignalsShutdown)
-{
-    AdmissionQueue<int> q(4);
-    ASSERT_TRUE(q.tryPush(7, 0.0));
-    q.close();
-    EXPECT_FALSE(q.tryPush(8, 0.0));
-    EXPECT_EQ(q.pop(), 7);                  // backlog drains
-    EXPECT_EQ(q.pop(), std::nullopt);       // then shutdown
-    EXPECT_TRUE(q.isClosed());
-}
-
-// ---------------------------------------------------------------------
 // FairShareQueue
 
 TEST(FairShareQueue, WeightedInterleaveUnderBacklog)
@@ -139,7 +100,7 @@ TEST(FairShareQueue, PriorityOrderFifoWithinLane)
     ASSERT_EQ(q.tryPush(2, "t", 5.0).outcome, AdmitOutcome::Admitted);
     ASSERT_EQ(q.tryPush(3, "t", 0.0).outcome, AdmitOutcome::Admitted);
     ASSERT_EQ(q.tryPush(4, "t", 5.0).outcome, AdmitOutcome::Admitted);
-    // Same contract as AdmissionQueue, per lane: highest priority
+    // Per lane: highest priority
     // first, FIFO among equals.
     EXPECT_EQ(q.pop(), 2);
     EXPECT_EQ(q.pop(), 4);
@@ -252,7 +213,7 @@ TEST(FairShareQueue, CloseDrainsBacklogIgnoringQuota)
     // Shutdown drains regardless of the in-flight quota...
     EXPECT_EQ(q.tryPop(out), PopStatus::Ok);
     EXPECT_EQ(out, 2);
-    // ...and then reports drained, exactly like AdmissionQueue.
+    // ...and then reports drained.
     EXPECT_EQ(q.tryPop(out), PopStatus::Drained);
     EXPECT_EQ(q.pop(), std::nullopt);
     EXPECT_TRUE(q.isClosed());

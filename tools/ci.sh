@@ -68,6 +68,15 @@ run_preset() {
             "./build-tsan/tests/abcd_tests" \
             --gtest_filter='AccumStress.*'
 
+        # The block driver's one-holder rule: exact SSSP on an
+        # over-subscribed pool, where participants are preempted
+        # mid-block.  Rerun heavier so TSan sees many claim/park/commit
+        # interleavings of the shared control state.
+        echo "== async stress (${preset}) =="
+        GRAPHABCD_ASYNC_STRESS_ITERS=64 \
+            "./build-tsan/tests/abcd_tests" \
+            --gtest_filter='AsyncStress.*'
+
         # The serve layer's cancel/cache-hit/shed races are guarded by
         # finishJob's terminal CAS; rerun the multi-tenant storm heavier
         # so TSan sees many submit/cancel/pop/displace interleavings.
