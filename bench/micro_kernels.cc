@@ -110,9 +110,11 @@ BM_GatherApplyBlock(benchmark::State &state)
     BlockPartition g(el, 512, lo);
     PageRankProgram prog;
     BcdState<PageRankProgram> st(g, prog);
+    EdgeSliceScratch scratch;
+    BlockUpdate<double> update;
     BlockId b = 0;
     for (auto _ : state) {
-        auto update = st.processBlock(g, prog, b, 1e-9);
+        st.processBlock(g, prog, b, 1e-9, scratch, update);
         benchmark::DoNotOptimize(update.l1Delta);
         b = (b + 1) % g.numBlocks();
     }
@@ -128,11 +130,13 @@ BM_ScatterCommitBlock(benchmark::State &state)
     BlockPartition g(el, 512);
     PageRankProgram prog;
     BcdState<PageRankProgram> st(g, prog);
+    LayoutScratch scratch;
+    BlockUpdate<double> update;
     BlockId b = 0;
     for (auto _ : state) {
-        auto update = st.processBlock(g, prog, b, 1e-9);
+        st.processBlock(g, prog, b, 1e-9, scratch.slice, update);
         benchmark::DoNotOptimize(
-            st.commitBlock(g, prog, update, 1e-9));
+            st.commitBlock(g, prog, update, 1e-9, scratch.scatter));
         b = (b + 1) % g.numBlocks();
     }
 }

@@ -3,9 +3,10 @@
  * BlockDriver — the one block loop behind the threaded BCD engines.
  *
  * AsyncEngine and AccumEngine differ only in what they do to a block:
- * a state-based commit (gather-apply-scatter over atomic edge values)
- * or an accumulator fold (AccumState::processVertex).  Everything
- * around that step is this driver's:
+ * a state-based commit (BcdState::step, gather-apply-scatter over
+ * shared edge values) or an accumulator fold
+ * (AccumState::processVertex).  Everything around that step is this
+ * driver's:
  *
  *   claim -> process -> commit -> account -> requeue
  *
@@ -55,22 +56,13 @@
 #include "core/engine.hh"
 #include "core/options.hh"
 #include "core/scheduler.hh"
+#include "core/state.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
 #include "runtime/executor.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
-
-/** What a policy's process step did to one block. */
-struct BlockWork
-{
-    std::uint64_t vertices = 0;  //!< vertex updates (budget and epochs)
-    std::uint64_t edges = 0;     //!< edge traversals
-    std::uint64_t scatters = 0;  //!< scatter writes (fanout histogram)
-    double l1 = 0.0;             //!< L1 value move (convergence window)
-    std::uint64_t active = 0;    //!< vertices moved by more than tol
-};
 
 /**
  * Where a process step sends block activations.  A concurrent-push

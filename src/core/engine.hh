@@ -14,17 +14,25 @@
  *  - schedule Cyclic / Priority / Random picks the block selection rule.
  *
  * This engine produces the convergence-rate results (Fig. 4, Table III,
- * Fig. 5); the timing results come from the HARP simulator and the
- * threaded engine, both of which reuse the same state transitions.
+ * Fig. 5).  Every state transition is BcdState's (core/state.hh), which
+ * the HARP simulator, the threaded engine and the fragment shards run
+ * too.  The Jacobi loop here is also AsyncEngine's Bsp mode: there it
+ * spreads each superstep's read-only wave gather over the Executor and
+ * still commits serially after the barrier.  A serial run starts no
+ * Executor and no threads.
  */
 
 #ifndef GRAPHABCD_CORE_ENGINE_HH
 #define GRAPHABCD_CORE_ENGINE_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
-#include <type_traits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/convergence_window.hh"
@@ -34,9 +42,13 @@
 #include "core/vertex_program.hh"
 #include "graph/partition.hh"
 #include "obs/obs.hh"
+#include "runtime/executor.hh"
 #include "support/timer.hh"
 
 namespace graphabcd {
+
+template <VertexProgram Program>
+class AsyncEngine;
 
 /**
  * Update budget in vertex updates, shared by the threaded engines.
@@ -57,13 +69,6 @@ updateBudget(double max_epochs, double n)
     return static_cast<std::uint64_t>(budget);
 }
 
-/** One sample of a convergence trace. */
-struct TracePoint
-{
-    double epochs = 0.0;     //!< |V|-normalised vertex updates so far
-    double blockDelta = 0.0; //!< L1 delta of the most recent update
-};
-
 /** Outcome and work accounting of an engine run. */
 struct EngineReport
 {
@@ -82,7 +87,6 @@ struct EngineReport
      * hooks so the uninstrumented hot loop stays byte-comparable.
      */
     double residual = 0.0;
-    std::vector<TracePoint> trace;
 };
 
 /**
@@ -121,6 +125,9 @@ class SerialEngine
     SerialEngine(const BlockPartition &g, Program p, EngineOptions opt)
         : graph(g), program(std::move(p)), options(opt)
     {
+        // A convergence sink samples once per epoch by default.
+        if (options.convergence && options.traceInterval <= 0.0)
+            options.traceInterval = 1.0;
     }
 
     /**
@@ -132,31 +139,29 @@ class SerialEngine
     run(BcdState<Program> &state, const TraceFn &trace_fn = nullptr,
         const StopFn &stop_fn = nullptr)
     {
-        if ((stop_fn || options.convergence) &&
-            options.traceInterval <= 0.0)
+        if (stop_fn && options.traceInterval <= 0.0)
             options.traceInterval = 1.0;
         return options.mode == ExecMode::Bsp
-            ? runJacobi(state, trace_fn, stop_fn)
+            ? runJacobi(state, trace_fn, stop_fn, 1, "engine.serial.run")
             : runGaussSeidel(state, trace_fn, stop_fn);
     }
 
-    /** Convenience: fresh state, run, return (report, values). */
+    /** Convenience: fresh (or warm-started) state, run, return
+     *  (report, values). */
     EngineReport
     run(std::vector<Value> &out_values, const TraceFn &trace_fn = nullptr,
         const StopFn &stop_fn = nullptr)
     {
-        BcdState<Program> state(graph, program);
-        if constexpr (std::is_same_v<Value, double>) {
-            if (options.warmStart &&
-                options.warmStart->size() == graph.numVertices())
-                state.setValues(graph, program, *options.warmStart);
-        }
+        BcdState<Program> state(graph, program, options.warmStart.get());
         EngineReport report = run(state, trace_fn, stop_fn);
-        out_values = state.values();
+        out_values = std::move(state.values());
         return report;
     }
 
   private:
+    // Bsp mode of the threaded engine is this engine's Jacobi loop.
+    friend class AsyncEngine<Program>;
+
     /** Publish live counters for serve-layer status snapshots. */
     void
     publishProgress(const EngineReport &report) const
@@ -168,32 +173,51 @@ class SerialEngine
                                       report.scatterWrites);
         }
     }
+
     /** Initial activation: every block at the same large priority. */
-    void
-    seedScheduler(BlockScheduler &sched) const
+    std::unique_ptr<BlockScheduler>
+    seededScheduler() const
     {
+        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
+                                   options.seed);
         for (BlockId b = 0; b < graph.numBlocks(); b++)
-            sched.activate(b, initialActivationPriority());
+            sched->activate(b, initialActivationPriority());
+        return sched;
     }
 
     /** @return true when the StopFn asks to end the run. */
     bool
     maybeTrace(EngineReport &report, const BcdState<Program> &state,
                const TraceFn &trace_fn, const StopFn &stop_fn,
-               double &next_trace, double block_delta,
-               const Timer &timer, ConvergenceWindow &win)
+               double &next_trace, const Timer &timer,
+               ConvergenceWindow &win)
     {
         if (options.traceInterval <= 0.0)
             return false;
         if (report.epochs + 1e-12 < next_trace)
             return false;
         next_trace += options.traceInterval;
-        report.trace.push_back(TracePoint{report.epochs, block_delta});
         report.residual = win.sample(report.epochs, report.vertexUpdates,
                                      report.edgeTraversals, timer);
         if (trace_fn)
             trace_fn(report.epochs, state.values());
         return stop_fn && stop_fn(report.epochs, state.values());
+    }
+
+    /** Close a run: final sample, quiescence, scheduler counters. */
+    void
+    finish(EngineReport &report, const BlockScheduler &sched,
+           bool stop_fn_converged, const Timer &timer,
+           ConvergenceWindow &win) const
+    {
+        if (!stop_fn_converged) {
+            report.residual = win.finish(report.epochs,
+                                         report.vertexUpdates,
+                                         report.edgeTraversals, timer);
+        }
+        report.converged = stop_fn_converged || sched.empty();
+        report.seconds = timer.seconds();
+        flushSchedulerCounters(sched);
     }
 
     EngineReport
@@ -206,9 +230,7 @@ class SerialEngine
         obs::Span run_span("engine.serial.run");
         EngineReport report;
         const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        seedScheduler(*sched);
+        auto sched = seededScheduler();
 
         // Resolve metrics once per run; recording is per block.
         obs::Histogram &gasHist = obs::histogram(
@@ -218,16 +240,18 @@ class SerialEngine
 
         double next_trace = options.traceInterval;
         ConvergenceWindow win(options.convergence, options.traceInterval);
+        LayoutScratch scratch;
         BlockUpdate<Value> update;
+        bool stop_fn_converged = false;
         while (auto b = sched->next()) {
             std::uint64_t block_scatter = 0;
             {
                 obs::ScopedLatency lat(gasHist);
-                update = state.processBlock(graph, program, *b,
-                                            options.tolerance);
+                state.processBlock(graph, program, *b, options.tolerance,
+                                   scratch.slice, update);
                 block_scatter = state.commitBlock(
                     graph, program, update, options.tolerance,
-                    [&sched](BlockId dst, double delta) {
+                    scratch.scatter, [&sched](BlockId dst, double delta) {
                         sched->activate(dst, delta);
                     });
             }
@@ -244,84 +268,126 @@ class SerialEngine
                 break;
             }
             if (maybeTrace(report, state, trace_fn, stop_fn, next_trace,
-                           update.l1Delta, timer, win)) {
-                report.converged = true;
-                report.seconds = timer.seconds();
-                return report;
+                           timer, win)) {
+                stop_fn_converged = true;
+                break;
             }
             if (report.epochs >= options.maxEpochs)
                 break;
         }
-        report.residual = win.finish(report.epochs, report.vertexUpdates,
-                                     report.edgeTraversals, timer);
-        report.converged = sched->empty();
-        report.seconds = timer.seconds();
+        finish(report, *sched, stop_fn_converged, timer, win);
         return report;
     }
 
+    /**
+     * Jacobi supersteps: drain the active set into a wave, GATHER-APPLY
+     * the wave against a frozen snapshot, then commit it in wave order
+     * behind a global barrier.  With participation > 1 the read-only
+     * gather spreads over an Executor job (the caller sweeps too);
+     * the commits stay serial, so every participation count gives the
+     * same values and counters.
+     */
     EngineReport
     runJacobi(BcdState<Program> &state, const TraceFn &trace_fn,
-              const StopFn &stop_fn)
+              const StopFn &stop_fn, std::uint32_t participation,
+              const char *span)
     {
         Timer timer;
-        obs::Span run_span("engine.serial.run");
+        obs::Span run_span(span);
         EngineReport report;
         const double n = std::max<double>(graph.numVertices(), 1.0);
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
-        seedScheduler(*sched);
+        auto sched = seededScheduler();
+
+        std::shared_ptr<Executor::Job> job;
+        if (participation > 1) {
+            job = Executor::orShared(options.executor)
+                      ->createJob(participation);
+        }
+        std::vector<EdgeSliceScratch> gather(participation);
+        ScatterScratch commit;
 
         double next_trace = options.traceInterval;
         ConvergenceWindow win(options.convergence, options.traceInterval);
         std::vector<BlockId> wave;
-        std::vector<BlockUpdate<Value>> updates;
+        std::vector<BlockUpdate<Value>> updates;   // reused per slot
+        bool stop_fn_converged = false;
         while (!sched->empty()) {
+            if (options.stop.stopRequested()) {
+                report.stopped = true;
+                break;
+            }
             // Drain the active set: this superstep's work list.
             wave.clear();
             while (auto b = sched->next())
                 wave.push_back(*b);
+            if (updates.size() < wave.size())
+                updates.resize(wave.size());
 
             // GATHER-APPLY the whole wave against a frozen snapshot.
-            updates.clear();
-            updates.reserve(wave.size());
-            for (BlockId b : wave) {
-                updates.push_back(state.processBlock(graph, program, b,
-                                                     options.tolerance));
+            // Each participant takes its own decode buffer; each
+            // update slot has one writer.  A failing block (a program
+            // bug) ends every sweep and is rethrown after the barrier,
+            // so no participant outlives the locals it uses.
+            std::atomic<std::uint32_t> next_scratch{0};
+            std::atomic<std::size_t> cursor{0};
+            std::mutex failure_mu;
+            std::exception_ptr failure;
+            auto sweep = [&] {
+                EdgeSliceScratch &scratch = gather[next_scratch.fetch_add(
+                    1, std::memory_order_relaxed)];
+                try {
+                    for (;;) {
+                        const std::size_t i = cursor.fetch_add(
+                            1, std::memory_order_relaxed);
+                        if (i >= wave.size())
+                            return;
+                        state.processBlock(graph, program, wave[i],
+                                           options.tolerance, scratch,
+                                           updates[i]);
+                    }
+                } catch (...) {
+                    cursor.store(wave.size());
+                    std::lock_guard<std::mutex> lock(failure_mu);
+                    if (!failure)
+                        failure = std::current_exception();
+                }
+            };
+            if (job) {
+                const std::size_t helpers = std::min<std::size_t>(
+                    participation - 1, wave.size());
+                for (std::size_t h = 0; h < helpers; h++)
+                    job->submit(sweep);
             }
+            sweep();
+            if (job)
+                job->wait();
+            if (failure)
+                std::rethrow_exception(failure);
 
             // Global barrier: commit everything, then activate.
-            double wave_delta = 0.0;
-            for (const auto &update : updates) {
+            for (std::size_t i = 0; i < wave.size(); i++) {
+                const BlockUpdate<Value> &update = updates[i];
                 report.scatterWrites += state.commitBlock(
-                    graph, program, update, options.tolerance,
+                    graph, program, update, options.tolerance, commit,
                     [&sched](BlockId dst, double delta) {
                         sched->activate(dst, delta);
                     });
                 report.blockUpdates++;
                 report.vertexUpdates += update.newValues.size();
                 report.edgeTraversals += graph.blockEdgeCount(update.block);
-                wave_delta += update.l1Delta;
                 win.add(update.l1Delta, update.changed);
             }
             report.epochs = static_cast<double>(report.vertexUpdates) / n;
             publishProgress(report);
-            if (options.stop.stopRequested()) {
-                report.stopped = true;
-                break;
-            }
             if (maybeTrace(report, state, trace_fn, stop_fn, next_trace,
-                           wave_delta, timer, win)) {
-                report.converged = true;
-                report.seconds = timer.seconds();
-                return report;
+                           timer, win)) {
+                stop_fn_converged = true;
+                break;
             }
             if (report.epochs >= options.maxEpochs)
                 break;
         }
-        report.residual = win.finish(report.epochs, report.vertexUpdates,
-                                     report.edgeTraversals, timer);
-        report.converged = sched->empty();
-        report.seconds = timer.seconds();
+        finish(report, *sched, stop_fn_converged, timer, win);
         return report;
     }
 

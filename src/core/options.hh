@@ -62,8 +62,9 @@ struct EngineOptions
     /** Block selection rule. */
     Schedule schedule = Schedule::Cyclic;
 
-    /** Execution model (threaded engine / simulator only; the serial
-     *  engine is inherently Gauss-Seidel over blocks). */
+    /** Execution model.  Serially, Async and Barrier are the same
+     *  block Gauss-Seidel run and Bsp is Jacobi; the threaded engine
+     *  and the simulator also differ in timing. */
     ExecMode mode = ExecMode::Async;
 
     /**
@@ -80,9 +81,9 @@ struct EngineOptions
     std::uint64_t seed = 1;
 
     /**
-     * Participation bound of the threaded asynchronous engine: at most
-     * this many pool workers (plus the calling thread) execute one run
-     * concurrently.  The engine never spawns threads of its own; it
+     * Participation bound of the threaded asynchronous engine (and of
+     * its Bsp wave gather): at most this many participants, the
+     * calling thread included, execute one run concurrently.  The engine never spawns threads of its own; it
      * borrows them from `executor`.
      */
     std::uint32_t numThreads = 4;

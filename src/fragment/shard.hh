@@ -29,11 +29,11 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "core/options.hh"
 #include "core/scheduler.hh"
+#include "core/state.hh"
 #include "core/vertex_program.hh"
 #include "fragment/message_plane.hh"
 #include "fragment/topology.hh"
@@ -68,42 +68,12 @@ class FragmentShard
         : graph(g), topology(topo), program(p), self(id),
           bBegin(topo.blockBegin(id)),
           vBegin(topo.vertexBegin(id)), vEnd(topo.vertexEnd(id)),
-          eBegin(topo.edgeBegin(id)), eEnd(topo.edgeEnd(id))
+          eBegin(topo.edgeBegin(id)), eEnd(topo.edgeEnd(id)),
+          // Mirror slots start from the source's seed too: the program
+          // is pure, so the remote owner seeds exactly the same value
+          // and no start-up message exchange is needed.
+          state_(g, p, opt.warmStart.get(), vBegin, vEnd)
     {
-        const bool warm = [&] {
-            if constexpr (std::is_same_v<Value, double>)
-                return opt.warmStart &&
-                       opt.warmStart->size() == g.numVertices();
-            else
-                return false;
-        }();
-        auto initValue = [&](VertexId v) {
-            Value init = program.init(v, graph);
-            if constexpr (std::is_same_v<Value, double>) {
-                if (warm)
-                    init = (*opt.warmStart)[v];
-            }
-            return init;
-        };
-
-        values_.resize(vEnd - vBegin);
-        for (VertexId v = vBegin; v < vEnd; v++)
-            values_[v - vBegin] = initValue(v);
-
-        // Every slice position starts from the source's initial value —
-        // including mirror slots, because the program is pure: the
-        // remote owner computes exactly the same init, so no start-up
-        // message exchange is needed.  The slice [eBegin, eEnd) is
-        // exactly the in-edges of the local vertex range, so walking
-        // destination in-lists covers it in every layout.
-        edgeValues_.resize(eEnd - eBegin);
-        for (VertexId v = vBegin; v < vEnd; v++) {
-            graph.forEachInEdge(v, [&](EdgeId pos, VertexId src, float) {
-                edgeValues_[pos - eBegin] =
-                    program.edgeValue(src, initValue(src), graph);
-            });
-        }
-
         const BlockId localBlocks = topo.blockCount(id);
         sched = makeScheduler(opt.schedule, localBlocks, opt.seed + id);
         for (BlockId b = 0; b < localBlocks; b++)
@@ -134,22 +104,13 @@ class FragmentShard
         const BlockEdgesView slice = graph.blockEdges(b, sliceScratch_);
         for (VertexId v = graph.blockBegin(b); v < graph.blockEnd(b);
              v++) {
-            auto acc = program.identity();
-            const Value old = values_[v - vBegin];
-            for (EdgeId e = graph.inEdgeBegin(v); e < graph.inEdgeEnd(v);
-                 e++) {
-                acc = program.combine(
-                    acc, program.edgeTerm(old, edgeValues_[e - eBegin],
-                                          slice.wgt[e - slice.base]));
-            }
-            const Value next = program.apply(v, acc, old, graph);
-            const double d = program.delta(old, next);
-            work.l1Delta += d;
-            values_[v - vBegin] = next;
-            if (!(d > tol))
+            const auto m = state_.gatherApply(graph, program, v, slice);
+            work.l1Delta += m.delta;
+            state_.value(v) = m.next;
+            if (!(m.delta > tol))
                 continue;
             work.changed++;
-            scatter(v, next, work);
+            scatter(v, m.next, work);
         }
         work.vertices = graph.blockVertexCount(b);
         work.edges = graph.blockEdgeCount(b);
@@ -178,10 +139,9 @@ class FragmentShard
             if (writes == 0) {
                 // All local copies carry the same old value; the first
                 // serves as the activation-priority baseline.
-                edge_delta =
-                    program.delta(edgeValues_[pos - eBegin], msg.value);
+                edge_delta = program.delta(state_.edgeCopy(pos), msg.value);
             }
-            edgeValues_[pos - eBegin] = msg.value;
+            state_.edgeCopy(pos) = msg.value;
             sched->activate(graph.dstBlockOfEdge(pos, hint) - bBegin,
                             edge_delta);
             writes++;
@@ -245,7 +205,7 @@ class FragmentShard
     const BlockScheduler &scheduler() const { return *sched; }
 
     /** @return the fragment's local values, indexed v - vertexBegin. */
-    const std::vector<Value> &values() const { return values_; }
+    const std::vector<Value> &values() const { return state_.values(); }
 
     VertexId vertexBegin() const { return vBegin; }
     VertexId vertexEnd() const { return vEnd; }
@@ -275,11 +235,10 @@ class FragmentShard
         for (const EdgeId pos : positions) {
             if (pos >= eBegin && pos < eEnd) {
                 if (!have_local_delta) {
-                    edge_delta = program.delta(edgeValues_[pos - eBegin],
-                                               ev);
+                    edge_delta = program.delta(state_.edgeCopy(pos), ev);
                     have_local_delta = true;
                 }
-                edgeValues_[pos - eBegin] = ev;
+                state_.edgeCopy(pos) = ev;
                 sched->activate(
                     graph.dstBlockOfEdge(pos, hint) - bBegin,
                     edge_delta);
@@ -305,8 +264,7 @@ class FragmentShard
     const EdgeId eBegin;
     const EdgeId eEnd;
 
-    std::vector<Value> values_;      //!< local values, v - vBegin
-    std::vector<Value> edgeValues_;  //!< slice copies, pos - eBegin
+    BcdState<Program> state_;        //!< local values + slice copies
     std::unique_ptr<BlockScheduler> sched;
     std::vector<Outbox> outboxes;    //!< per destination fragment
 

@@ -32,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "core/convergence_window.hh"
@@ -97,13 +96,8 @@ class HarpSystem
     run(std::vector<Value> &out_values, const StopFn &stop_fn = nullptr)
     {
         wallTimer.start();
-        state = std::make_unique<BcdState<Program>>(graph, program);
-        if constexpr (std::is_same_v<Value, double>) {
-            if (engineOpt.warmStart &&
-                engineOpt.warmStart->size() == graph.numVertices()) {
-                state->setValues(graph, program, *engineOpt.warmStart);
-            }
-        }
+        state = std::make_unique<BcdState<Program>>(
+            graph, program, engineOpt.warmStart.get());
         sched = makeScheduler(engineOpt.schedule, graph.numBlocks(),
                               engineOpt.seed);
         for (BlockId b = 0; b < graph.numBlocks(); b++)
@@ -304,8 +298,8 @@ class HarpSystem
             // edge values committed so far (asynchronous staleness).
             Task task;
             task.block = b;
-            task.update = state->processBlock(graph, program, b,
-                                              engineOpt.tolerance);
+            state->processBlock(graph, program, b, engineOpt.tolerance,
+                                scratch.slice, task.update);
 
             // Timing: DMA in (edge slice + vertex block), compute,
             // write-back of the new vertex block.
@@ -438,8 +432,8 @@ class HarpSystem
         Task task;
         task.block = b;
         task.onCpu = true;
-        task.update =
-            state->processBlock(graph, program, b, engineOpt.tolerance);
+        state->processBlock(graph, program, b, engineOpt.tolerance,
+                            scratch.slice, task.update);
 
         const double service =
             static_cast<double>(graph.blockEdgeCount(b)) /
@@ -477,7 +471,7 @@ class HarpSystem
 
         report.scatterWrites += state->commitBlock(
             graph, program, task.update, engineOpt.tolerance,
-            [this](BlockId dst, double delta) {
+            scratch.scatter, [this](BlockId dst, double delta) {
                 sched->activate(dst, delta);
             });
         report.blockUpdates++;
@@ -538,7 +532,7 @@ class HarpSystem
         for (const Task &task : waveDone) {
             report.scatterWrites += state->commitBlock(
                 graph, program, task.update, engineOpt.tolerance,
-                [this](BlockId dst, double delta) {
+                scratch.scatter, [this](BlockId dst, double delta) {
                     sched->activate(dst, delta);
                 });
             conv.add(task.update.l1Delta, task.update.changed);
@@ -641,6 +635,7 @@ class HarpSystem
     std::uint64_t affinityMisses = 0;  //!< PE fell back to the head
 
     std::unique_ptr<BcdState<Program>> state;
+    LayoutScratch scratch;   //!< decode buffers of the one event loop
     std::unique_ptr<BlockScheduler> sched;
     EventQueue events;
     std::vector<Bus> buses;   //!< one CPU link per accelerator

@@ -16,6 +16,16 @@ queuedGauge()
     return gauge;
 }
 
+/**
+ * The job and adopted span context of the task this worker runs.  A
+ * task that submits into its own job is requeueing itself; the new task
+ * gets the context the running one was submitted under, so a requeue
+ * chain stays one level of siblings in the trace instead of nesting one
+ * level deeper per requeue.
+ */
+thread_local const void *runningJob = nullptr;
+thread_local obs::SpanContext runningCtx;
+
 } // namespace
 
 // ------------------------------------------------------------- Executor
@@ -144,7 +154,10 @@ Executor::workerLoop(std::uint32_t self)
                 // tree.  Both are no-ops while tracing is off.
                 obs::SpanScope adopt(task.ctx);
                 obs::CausalSpan span("executor.task");
+                runningJob = task.job.get();
+                runningCtx = task.ctx;
                 task.fn();
+                runningJob = nullptr;
             }
             nExecuted.fetch_add(1, std::memory_order_relaxed);
             finishTask(task.job);
@@ -193,7 +206,9 @@ Executor::Job::submit(std::function<void()> fn)
     // Capture the submitter's ambient span context here, not at
     // release time: a backlogged task still belongs to the tree of
     // whoever submitted it, no matter which worker later frees a slot.
-    const obs::SpanContext ctx = obs::currentSpan();
+    // A requeue inherits its predecessor's context (see runningJob).
+    const obs::SpanContext ctx =
+        runningJob == this ? runningCtx : obs::currentSpan();
     bool release = false;
     {
         std::lock_guard<std::mutex> lock(mtx);

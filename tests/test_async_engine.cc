@@ -22,6 +22,7 @@
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "runtime/executor.hh"
+#include "support/logging.hh"
 
 namespace graphabcd {
 namespace {
@@ -340,6 +341,122 @@ TEST(AsyncEngine, HugeMaxEpochsDoesNotOverflowTheUpdateBudget)
     std::vector<double> ref = pagerankReference(el, 0.85);
     for (VertexId v = 0; v < el.numVertices(); v++)
         ASSERT_NEAR(x[v], ref[v], 1e-6) << "vertex " << v;
+}
+
+/**
+ * ExecMode::Bsp is one Jacobi loop whatever the engine: an AsyncEngine
+ * superstep spreads its read-only wave gather over the pool and then
+ * commits serially in wave order, so at any thread count it must match
+ * SerialEngine's Jacobi run bit for bit, counters included.  |V| = 401
+ * is prime, so the last block is short.
+ */
+struct BspCase
+{
+    bool sssp;
+    Schedule schedule;
+    GraphLayout layout;
+};
+
+std::string
+bspCaseName(const testing::TestParamInfo<BspCase> &info)
+{
+    return std::string(info.param.sssp ? "sssp" : "pr") + "_" +
+           to_string(info.param.schedule) + "_" +
+           to_string(info.param.layout);
+}
+
+class BspMatchesSerial : public testing::TestWithParam<BspCase>
+{
+  protected:
+    template <typename Program>
+    void
+    check(const BlockPartition &g, const Program &prog)
+    {
+        EngineOptions opt;
+        opt.blockSize = 32;
+        opt.mode = ExecMode::Bsp;
+        opt.schedule = GetParam().schedule;
+        opt.tolerance = 1e-10;
+        std::vector<double> want;
+        const EngineReport serial =
+            SerialEngine<Program>(g, prog, opt).run(want);
+        ASSERT_TRUE(serial.converged);
+        ASSERT_GT(serial.blockUpdates, g.numBlocks());   // > 1 superstep
+
+        for (std::uint32_t threads : {1u, 4u}) {
+            opt.numThreads = threads;
+            std::vector<double> got;
+            const EngineReport async =
+                AsyncEngine<Program>(g, prog, opt).run(got);
+            EXPECT_TRUE(async.converged) << "threads " << threads;
+            EXPECT_EQ(async.vertexUpdates, serial.vertexUpdates)
+                << "threads " << threads;
+            EXPECT_EQ(async.blockUpdates, serial.blockUpdates)
+                << "threads " << threads;
+            EXPECT_EQ(async.scatterWrites, serial.scatterWrites)
+                << "threads " << threads;
+            ASSERT_EQ(got.size(), want.size());
+            for (VertexId v = 0; v < g.numVertices(); v++) {
+                ASSERT_EQ(got[v], want[v])
+                    << "threads " << threads << " vertex " << v;
+            }
+        }
+    }
+};
+
+TEST_P(BspMatchesSerial, BitIdenticalAtOneAndFourThreads)
+{
+    Rng rng(58);
+    const EdgeList el =
+        generateRmat(401, 3200, rng, {.weighted = GetParam().sssp});
+    const BlockPartition g(el, 32, {GetParam().layout, VertexReorder::None});
+    if (GetParam().sssp) {
+        const auto deg = el.outDegrees();
+        check(g, SsspProgram(static_cast<VertexId>(
+                     std::max_element(deg.begin(), deg.end()) -
+                     deg.begin())));
+    } else {
+        check(g, PageRankProgram(0.85));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Jacobi, BspMatchesSerial,
+    testing::Values(
+        BspCase{false, Schedule::Cyclic, GraphLayout::Plain},
+        BspCase{false, Schedule::Cyclic, GraphLayout::Compressed},
+        BspCase{false, Schedule::Priority, GraphLayout::Plain},
+        BspCase{false, Schedule::Priority, GraphLayout::Compressed},
+        BspCase{true, Schedule::Cyclic, GraphLayout::Plain},
+        BspCase{true, Schedule::Cyclic, GraphLayout::Compressed},
+        BspCase{true, Schedule::Priority, GraphLayout::Plain},
+        BspCase{true, Schedule::Priority, GraphLayout::Compressed}),
+    bspCaseName);
+
+/** PageRank with a broken delta(): every vertex move reads negative. */
+struct NegativeDeltaProgram : PageRankProgram
+{
+    double delta(double, double) const { return -1.0; }
+};
+
+TEST(AsyncEngine, BspWaveGatherFailureReachesTheCaller)
+{
+    // A block that fails inside a pool participant's wave gather must
+    // surface as the run's exception after the barrier, not end the
+    // process or leave participants running on a dead stack frame.
+    Rng rng(59);
+    const EdgeList el = generateRmat(200, 1600, rng);
+    EngineOptions opt;
+    opt.blockSize = 8;
+    opt.mode = ExecMode::Bsp;
+    const BlockPartition g(el, opt.blockSize);
+    for (std::uint32_t threads : {1u, 4u}) {
+        opt.numThreads = threads;
+        AsyncEngine<NegativeDeltaProgram> engine(
+            g, NegativeDeltaProgram(), opt);
+        std::vector<double> x;
+        EXPECT_THROW(engine.run(x), PanicError) << "threads " << threads;
+    }
 }
 
 /**

@@ -101,10 +101,13 @@ TEST(PageRankDelta, StateBasedSurvivesTheSameInterleaving)
     PageRankProgram p(0.85);
     BcdState<PageRankProgram> state(g, p);
 
-    auto a_update = state.processBlock(g, p, 0, 0.0);
-    auto b_update = state.processBlock(g, p, 1, 0.0);
-    state.commitBlock(g, p, b_update, 0.0);
-    state.commitBlock(g, p, a_update, 0.0);   // overwrite, not consume
+    LayoutScratch scratch;
+    BlockUpdate<double> a_update, b_update;
+    state.processBlock(g, p, 0, 0.0, scratch.slice, a_update);
+    state.processBlock(g, p, 1, 0.0, scratch.slice, b_update);
+    state.commitBlock(g, p, b_update, 0.0, scratch.scatter);
+    state.commitBlock(g, p, a_update, 0.0,
+                      scratch.scatter);   // overwrite, not consume
 
     // Finish with a normal engine run seeded from this state.
     EngineOptions opt;

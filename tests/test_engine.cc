@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <tuple>
 
 #include "algorithms/pagerank.hh"
@@ -187,6 +188,39 @@ TEST(EngineReport, MaxEpochsStopsDivergentRuns)
     EXPECT_LE(report.epochs, 2.0 + 8.0 / 64.0 + 1e-9);
 }
 
+/** @return the threads of this process (Linux /proc). */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        n++;
+    return n;
+}
+
+TEST(EngineReport, SerialRunsStartNoThreads)
+{
+    // The Jacobi loop opens an Executor job only for participation > 1,
+    // so a serial run in either mode leaves the thread count alone even
+    // with numThreads at its default of 4.  (Run alone, as ctest does,
+    // this process has no pool yet.)
+    Rng rng(37);
+    EdgeList el = generateRmat(128, 1024, rng);
+    BlockPartition g(el, 16);
+    const std::size_t before = threadCount();
+    for (ExecMode mode : {ExecMode::Async, ExecMode::Bsp}) {
+        EngineOptions opt;
+        opt.blockSize = 16;
+        opt.mode = mode;
+        std::vector<double> x;
+        EXPECT_TRUE(SerialEngine<PageRankProgram>(g, PageRankProgram(), opt)
+                        .run(x)
+                        .converged);
+        EXPECT_EQ(threadCount(), before) << to_string(mode);
+    }
+}
+
 TEST(EngineTrace, SamplesAtRequestedInterval)
 {
     Rng rng(36);
@@ -198,17 +232,19 @@ TEST(EngineTrace, SamplesAtRequestedInterval)
     BlockPartition g(el, opt.blockSize);
     SerialEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
 
-    int callbacks = 0;
+    std::vector<double> epochs;
     std::vector<double> x;
     EngineReport report = engine.run(
-        x, [&callbacks](double, const std::vector<double> &) {
-            callbacks++;
+        x, [&epochs](double e, const std::vector<double> &) {
+            epochs.push_back(e);
         });
-    EXPECT_EQ(static_cast<int>(report.trace.size()), callbacks);
-    EXPECT_GT(callbacks, 0);
+    // One callback per whole epoch the run completed.
+    EXPECT_EQ(epochs.size(),
+              static_cast<std::size_t>(report.epochs + 1e-12));
+    EXPECT_GT(epochs.size(), 0u);
     // Trace epochs are monotone.
-    for (std::size_t i = 1; i < report.trace.size(); i++)
-        EXPECT_GT(report.trace[i].epochs, report.trace[i - 1].epochs);
+    for (std::size_t i = 1; i < epochs.size(); i++)
+        EXPECT_GT(epochs[i], epochs[i - 1]);
 }
 
 // --------------------------------------------- convergence-rate shapes

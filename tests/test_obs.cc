@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -747,6 +748,26 @@ TEST(EngineObs, AsyncRunRecordsLatencyFanoutAndSchedulerCounters)
     EXPECT_GT(activations.value(), 0u);
 }
 
+TEST(EngineObs, SerialRunsPublishSchedulerCounters)
+{
+    // Every engine flushes its scheduler's tallies when a run ends, so
+    // the scheduler.* counters cover serial runs in both modes too.
+    obs::Counter &activations = obs::counter("scheduler.activations");
+    Rng rng(65);
+    EdgeList el = generateRmat(200, 1600, rng);
+    BlockPartition g(el, 16);
+    for (ExecMode mode : {ExecMode::Async, ExecMode::Bsp}) {
+        activations.reset();
+        EngineOptions opt;
+        opt.blockSize = 16;
+        opt.mode = mode;
+        SerialEngine<PageRankProgram> engine(g, PageRankProgram(), opt);
+        std::vector<double> x;
+        engine.run(x);
+        EXPECT_GE(activations.value(), g.numBlocks()) << to_string(mode);
+    }
+}
+
 TEST(EngineObs, SerialPageRankConvergenceCurveIsMonotone)
 {
     Rng rng(63);
@@ -1189,6 +1210,55 @@ TEST(CausalSpan, ExecutorTasksInheritTheSubmittersSpanTree)
     }
     EXPECT_EQ(tasks, 4u);
     EXPECT_EQ(inners, 4u);
+}
+
+TEST(CausalSpan, RequeuedTasksStaySiblingsUnderTheSubmitter)
+{
+    // Threaded engines requeue a pool task by resubmitting it from
+    // inside itself.  Each requeue must hang off the original
+    // submitter's span, not off the previous task: nesting one level
+    // per requeue made long runs' trees deeper than any tree walk
+    // allows (the observability drill in tools/ci.sh caps it at 64).
+    TraceRecorder &rec = TraceRecorder::global();
+    rec.clear();
+    rec.setEnabled(true);
+
+    constexpr int kRequeues = 100;
+    const obs::SpanContext root{/*job=*/8, obs::nextSpanId(),
+                                /*parent=*/0};
+    {
+        Executor exec(2);
+        auto job = exec.createJob(1);
+        std::atomic<int> left{kRequeues};
+        std::function<void()> task;
+        task = [&] {
+            if (left.fetch_sub(1) > 1)
+                job->submit(task);
+        };
+        {
+            obs::SpanScope adopt(root);
+            job->submit(task);
+        }
+        job->wait();
+    }
+    rec.setEnabled(false);
+
+    std::ostringstream os;
+    rec.writeChromeTrace(os);
+    rec.clear();
+
+    JsonValue doc;
+    std::string why;
+    ASSERT_TRUE(parseJson(os.str(), &doc, &why)) << why;
+    std::size_t tasks = 0;
+    for (const auto &[span, node] : spanTreeOf(doc, 8)) {
+        (void)span;
+        if (node.name == "executor.task") {
+            tasks++;
+            EXPECT_EQ(node.parent, root.span);
+        }
+    }
+    EXPECT_EQ(tasks, static_cast<std::size_t>(kRequeues));
 }
 
 TEST(ServeObs, FragmentServeJobFormsOneCausalSpanTree)
