@@ -9,7 +9,7 @@ BlockDriver::BlockDriver(const BlockPartition &g, const EngineOptions &opt,
     : graph(g), options(opt), cfg(config),
       n(std::max<double>(g.numVertices(), 1.0)),
       maxUpdates(updateBudget(opt.maxEpochs, n)),
-      slots(g.numBlocks()),
+      slots(config.units ? config.units : g.numBlocks()),
       conv(opt.convergence, opt.traceInterval),
       gasHist(obs::histogram(config.gasHistogram,
                              obs::latencyBucketsUs())),
@@ -102,8 +102,21 @@ BlockDriver::spawnLocked()
         free_slots, window.size() + sched->activeCount());
     for (; want > 0; want--) {
         pumps++;
-        job->submit(pumpTask);
+        if (callerIdle) {
+            // The calling thread is parked in run(): hand it the slot.
+            callerIdle = false;
+            callerCv.notify_one();
+        } else {
+            job->submit(pumpTask);
+        }
     }
+}
+
+void
+BlockDriver::leaveLocked()
+{
+    if (--pumps == 0)
+        callerCv.notify_one();
 }
 
 void
@@ -142,25 +155,35 @@ BlockDriver::pump(bool allow_requeue)
         refillLocked();
         cur = claimLocked();
         if (!cur) {
-            pumps--;
+            leaveLocked();
             return;
         }
     }
     for (;;) {
         const BlockId b = cur->block;
         BlockWork work;
-        {
+        try {
             obs::ScopedLatency lat(gasHist);
             work = process_(b, scratch, sink);
+        } catch (...) {
+            // A failing step (a program bug) halts the run; run()
+            // rethrows it once every participant has left.
+            std::lock_guard<std::mutex> lock(ctl);
+            if (!failure)
+                failure = std::current_exception();
+            halted = true;
+            refillLocked();   // drops the window: never "converged"
+            leaveLocked();
+            return;
         }
         fanoutHist.record(static_cast<double>(work.scatters));
         vertexUpdates.fetch_add(work.vertices, std::memory_order_relaxed);
-        blockUpdates.fetch_add(1, std::memory_order_relaxed);
+        blockUpdates.fetch_add(work.blocks, std::memory_order_relaxed);
         edgeTraversals.fetch_add(work.edges, std::memory_order_relaxed);
         scatterWrites.fetch_add(work.scatters, std::memory_order_relaxed);
         if (options.progress) {
-            options.progress->accumulate(work.vertices, 1, work.edges,
-                                         work.scatters);
+            options.progress->accumulate(work.vertices, work.blocks,
+                                         work.edges, work.scatters);
         }
         done++;
         bool requeue = false;
@@ -176,7 +199,7 @@ BlockDriver::pump(bool allow_requeue)
                 if (cur)
                     spawnLocked();
                 else
-                    pumps--;
+                    leaveLocked();
             }
         }
         if (requeue) {
@@ -195,10 +218,11 @@ BlockDriver::run(Process process)
     // the submitting job's causal tree.
     obs::Span run_span(cfg.runSpan);
     process_ = std::move(process);
-    sched = makeScheduler(options.schedule, graph.numBlocks(),
-                          options.seed, cfg.participation);
-    for (BlockId b = 0; b < graph.numBlocks(); b++)
-        sched->activate(b, initialActivationPriority());
+    const auto units = static_cast<BlockId>(slots.size());
+    sched = makeScheduler(options.schedule, units, options.seed,
+                          cfg.participation);
+    for (BlockId u = 0; u < units; u++)
+        sched->activate(u, initialActivationPriority());
     exec = Executor::orShared(options.executor);
     job = exec->createJob(cfg.participation);
     pumpTask = [this] { pump(/*allow_requeue=*/true); };
@@ -210,7 +234,28 @@ BlockDriver::run(Process process)
         spawnLocked();
     }
     pump(/*allow_requeue=*/false);
+    {
+        // The calling thread belongs to this run: rather than sleep in
+        // job->wait(), it parks until a commit hands it a slot again.
+        // Else a run whose few units are all briefly held goes on with
+        // pool participants alone, one fewer than its participation
+        // on a pool of nproc - 1 workers.
+        std::unique_lock<std::mutex> lock(ctl);
+        while (pumps > 0) {
+            callerIdle = true;
+            callerCv.wait(lock,
+                          [this] { return !callerIdle || pumps == 0; });
+            if (!callerIdle) {
+                lock.unlock();
+                pump(/*allow_requeue=*/false);
+                lock.lock();
+            }
+        }
+        callerIdle = false;
+    }
     job->wait();   // all pool participants drained
+    if (failure)
+        std::rethrow_exception(failure);
 
     // No lock needed below: job->wait() ordered every participant (and
     // all of its activations) before this point.
@@ -224,7 +269,10 @@ BlockDriver::run(Process process)
     report.converged = !report.stopped && !droppedWork && sched->empty();
     report.residual = conv.finish(report.epochs, report.vertexUpdates,
                                   report.edgeTraversals, timer);
-    flushSchedulerCounters(*sched);
+    // A scheduler over fragments dispatches pumps; it makes no block
+    // activations, so only a block scheduler's counters are published.
+    if (cfg.units == 0)
+        flushSchedulerCounters(*sched);
     return report;
 }
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * BlockDriver — the one block loop behind the threaded BCD engines.
+ * BlockDriver — the one dispatch loop behind the threaded BCD engines.
  *
- * AsyncEngine and AccumEngine differ only in what they do to a block:
- * a state-based commit (BcdState::step, gather-apply-scatter over
- * shared edge values) or an accumulator fold
- * (AccumState::processVertex).  Everything around that step is this
- * driver's:
+ * The engines differ only in what they do to one dispatch unit.  A unit
+ * is a block, except for FragmentEngine, whose unit is a fragment:
+ *
+ *  - AsyncEngine: a state-based commit (BcdState::step, gather-apply-
+ *    scatter over shared edge values);
+ *  - AccumEngine: an accumulator fold (AccumState::processVertex);
+ *  - FragmentEngine: a fragment pump (drain the incoming delta rings,
+ *    process a bounded number of the shard's blocks, flush outboxes).
+ *
+ * Everything around that step is this driver's:
  *
  *   claim -> process -> commit -> account -> requeue
  *
@@ -15,27 +20,35 @@
  *  - process: the policy's step, without the lock, on per-participant
  *    scratch; activations go to an ActivationSink;
  *  - commit: under the lock, apply the batched activations, release the
- *    block, and sample the convergence window;
+ *    unit, and sample the convergence window;
  *  - account: work counters, Progress, histograms;
- *  - requeue: a pool task hands its slot back after kQuantum blocks so
+ *  - requeue: a pool task hands its slot back after kQuantum units so
  *    concurrent runs interleave on a shared Executor.
  *
- * One holder per block.  A block is dispatched to at most one
- * participant at a time.  A block the scheduler yields while it already
- * sits in the window is dropped: its claim comes later and reads the
- * new inputs.  A block yielded while a participant holds it is parked
- * and re-activated, with the priority the scheduler consumed, when the
- * holder commits.  A state-based commit needs the rule: two holders of
- * one block each store whole values, and the older one can land last
- * and overwrite a newer value.  Accumulator folds would survive two
- * holders (every delta is in exactly one accumulator), so for them the
- * rule only avoids duplicate work.
+ * One holder per unit.  A unit is dispatched to at most one participant
+ * at a time.  A unit the scheduler yields while it already sits in the
+ * window is dropped: its claim comes later and reads the new inputs.  A
+ * unit yielded while a participant holds it is parked and re-activated,
+ * with the priority the scheduler consumed, when the holder commits.
+ * So every activation is followed by a claim that starts after it was
+ * committed.  A state-based commit needs the rule: two holders of one
+ * block each store whole values, and the older one can land last and
+ * overwrite a newer value.  Accumulator folds would survive two holders
+ * (every delta is in exactly one accumulator), so for them the rule
+ * only avoids duplicate work.  A fragment pump needs it to keep its
+ * shard state plain and each delta ring single-producer,
+ * single-consumer.
  *
  * Threading: the driver spawns nothing.  It opens an Executor::Job with
- * the configured participation, and the calling thread pumps blocks
+ * the configured participation, and the calling thread pumps units
  * alongside the pool tasks, so a run progresses even on a saturated
- * pool.  StopToken and the maxEpochs budget halt the run; a halt that
- * drops dispatched blocks never reports convergence.
+ * pool.  When the caller finds nothing to claim it parks (no spinning)
+ * until a commit hands it a participant slot again, and leaves when
+ * the last participant does.  StopToken and the maxEpochs budget halt
+ * the run; a halt that drops dispatched units never reports
+ * convergence.  A process step that throws halts the run too, and
+ * run() rethrows the exception on the calling thread once every
+ * participant has left.
  */
 
 #ifndef GRAPHABCD_CORE_BLOCK_DRIVER_HH
@@ -43,8 +56,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -65,7 +80,7 @@
 namespace graphabcd {
 
 /**
- * Where a process step sends block activations.  A concurrent-push
+ * Where a process step sends unit activations.  A concurrent-push
  * scheduler (OBIM) takes them at once; the serialized schedulers get
  * them batched at the locked commit.
  */
@@ -105,6 +120,7 @@ class ActivationSink
 /** Dispatch shape and instrument names of one policy. */
 struct DriverConfig
 {
+    BlockId units = 0;                //!< dispatch units; 0 = numBlocks()
     std::uint32_t participation = 1;  //!< caller + pool participants
     std::size_t window = 1;           //!< dispatch FIFO capacity
     // String literals: the trace recorder keeps the span pointer.
@@ -117,18 +133,18 @@ struct DriverConfig
 };
 
 /**
- * The shared block loop.  One driver runs one engine run: construct,
+ * The shared dispatch loop.  One driver runs one engine run: construct,
  * call run() once.
  */
 class BlockDriver
 {
   public:
-    /** The policy's process step: block, per-participant scratch,
-     *  activation sink.  Runs concurrently, never on one block twice. */
+    /** The policy's process step: unit, per-participant scratch,
+     *  activation sink.  Runs concurrently, never on one unit twice. */
     using Process =
         std::function<BlockWork(BlockId, LayoutScratch &, ActivationSink &)>;
 
-    /** Blocks a pool task processes before requeueing itself. */
+    /** Units a pool task processes before requeueing itself. */
     static constexpr std::uint32_t kQuantum = 32;
 
     BlockDriver(const BlockPartition &g, const EngineOptions &opt,
@@ -138,11 +154,21 @@ class BlockDriver
     BlockDriver(const BlockDriver &) = delete;
     BlockDriver &operator=(const BlockDriver &) = delete;
 
-    /** Seed every block, pump to quiescence or a halt, and report. */
+    /**
+     * Seed every unit, pump to quiescence or a halt, and report.
+     * @throws whatever a process step threw, after the run has halted.
+     */
     EngineReport run(Process process);
 
+    /** @return blocks processed so far (a relaxed, racy clock). */
+    std::uint64_t
+    blocksProcessed() const
+    {
+        return blockUpdates.load(std::memory_order_relaxed);
+    }
+
   private:
-    /** Dispatch state of a block; all fields guarded by ctl. */
+    /** Dispatch state of a unit; all fields guarded by ctl. */
     struct BlockSlot
     {
         bool windowed = false;      //!< in the FIFO, not yet claimed
@@ -160,6 +186,7 @@ class BlockDriver
     void refillLocked();
     std::optional<WorkItem> claimLocked();
     void spawnLocked();
+    void leaveLocked();
     void commitLocked(BlockId b, ActivationSink &sink,
                       const BlockWork &work);
     void pump(bool allow_requeue);
@@ -182,8 +209,11 @@ class BlockDriver
     std::deque<WorkItem> window;
     std::vector<BlockSlot> slots;
     std::uint32_t pumps = 0;     //!< live participants
+    bool callerIdle = false;     //!< caller parked in run(), no slot
+    std::condition_variable callerCv;
     bool halted = false;         //!< stop token or budget
     bool droppedWork = false;    //!< a halt discarded window items
+    std::exception_ptr failure;  //!< first exception of a process step
     ConvergenceWindow conv;
 
     std::atomic<std::uint64_t> vertexUpdates{0};

@@ -56,6 +56,7 @@ struct BlockWork
     std::uint64_t scatters = 0;  //!< scatter writes (fanout histogram)
     double l1 = 0.0;             //!< L1 value move (convergence window)
     std::uint64_t active = 0;    //!< vertices moved by more than tol
+    std::uint64_t blocks = 1;    //!< blocks processed (a fragment pump: 0+)
 };
 
 /**
@@ -157,7 +158,9 @@ class BcdState
             acc = p.combine(acc, p.edgeTerm(old, load<Shared>(copies[i]),
                                             wgt[i]));
         const Value next = p.apply(v, acc, old, g);
-        return {next, p.delta(old, next)};
+        const double delta = p.delta(old, next);
+        GRAPHABCD_ASSERT(!(delta < 0.0), "delta() must be non-negative");
+        return {next, delta};
     }
 
     /**
@@ -181,8 +184,6 @@ class BcdState
         const BlockEdgesView slice = g.blockEdges(b, scratch);
         for (VertexId v = g.blockBegin(b); v < g.blockEnd(b); v++) {
             const Move m = gatherApply(g, p, v, slice);
-            GRAPHABCD_ASSERT(!(m.delta < 0.0),
-                             "delta() must be non-negative");
             out.l1Delta += m.delta;
             if (m.delta > tol)
                 out.changed++;

@@ -10,13 +10,11 @@
  * producer (the src fragment's runner) and one consumer (the dst
  * fragment's runner), so the wait-free SPSC protocol applies directly.
  *
- * Termination accounting follows the classic four-counter scheme
- * collapsed to shared memory: a global `sent` counter is bumped when a
- * message is *queued* (outbox append — an unflushed outbox still counts
- * as in-flight), `received` when the consumer has applied it.  The
- * detector in FragmentEngine declares quiescence only when
- * sent == received, every fragment reports idle, and a re-read of
- * `sent` shows no message was produced in between.
+ * Termination needs nothing from the plane: FragmentEngine activates a
+ * ring's receiver after every push into it, and the block driver turns
+ * that activation into a pump of the receiver that starts after the
+ * push, so an empty driver scheduler means every ring was drained (see
+ * fragment/engine.hh).
  */
 
 #ifndef GRAPHABCD_FRAGMENT_MESSAGE_PLANE_HH
@@ -45,10 +43,7 @@ struct DeltaMsg {
     Value value{};
 };
 
-/**
- * F×F mesh of SPSC delta channels (diagonal unused) plus the global
- * sent/received termination counters.
- */
+/** F×F mesh of SPSC delta channels (diagonal unused). */
 template <typename Value>
 class MessagePlane
 {
@@ -91,36 +86,6 @@ class MessagePlane
         return *channels[index(src, dst)];
     }
 
-    /**
-     * Account messages queued for sending.  Must happen at outbox-append
-     * time, *before* any ring push, so the detector can never observe
-     * received catching up to a stale `sent`.
-     */
-    void
-    noteSent(std::uint64_t k)
-    {
-        sentCount.fetch_add(k, std::memory_order_seq_cst);
-    }
-
-    /** Account messages fully applied by a consumer. */
-    void
-    noteReceived(std::uint64_t k)
-    {
-        receivedCount.fetch_add(k, std::memory_order_seq_cst);
-    }
-
-    std::uint64_t
-    sent() const
-    {
-        return sentCount.load(std::memory_order_seq_cst);
-    }
-
-    std::uint64_t
-    received() const
-    {
-        return receivedCount.load(std::memory_order_seq_cst);
-    }
-
   private:
     std::size_t
     index(FragmentId src, FragmentId dst) const
@@ -130,8 +95,6 @@ class MessagePlane
 
     FragmentId n;
     std::vector<std::unique_ptr<Channel>> channels;
-    alignas(64) std::atomic<std::uint64_t> sentCount{0};
-    alignas(64) std::atomic<std::uint64_t> receivedCount{0};
 };
 
 } // namespace graphabcd

@@ -8,9 +8,9 @@
  * positions whose source vertex lives in another fragment are the
  * *mirror slots*: read-only from the local sweep's perspective, written
  * only when a delta message from the owner fragment is applied.  All
- * state is plain (non-atomic): the engine guarantees at most one runner
- * drives a shard at a time, and hands the shard between runners with
- * acquire/release claim flags.
+ * state is plain (non-atomic): the fragment is the block driver's
+ * dispatch unit, so at most one runner drives a shard at a time, and
+ * the driver's locked claim and commit hand the shard between runners.
  *
  * SCATTER of a changed local vertex v splits by ownership along v's
  * sorted scatter-position list: positions inside the local slice are
@@ -88,11 +88,11 @@ class FragmentShard
     /**
      * GATHER-APPLY-SCATTER the next active local block.  Local scatter
      * positions are written in place; remote ones become outbox
-     * messages, accounted into `plane` (sent counts at append time).
+     * messages.
      * @return nullopt when no local block is active.
      */
     std::optional<ShardWork>
-    processNext(double tol, MessagePlane<Value> &plane)
+    processNext(double tol)
     {
         const std::optional<BlockId> local = sched->next();
         if (!local)
@@ -114,8 +114,6 @@ class FragmentShard
         }
         work.vertices = graph.blockVertexCount(b);
         work.edges = graph.blockEdgeCount(b);
-        if (work.messagesQueued > 0)
-            plane.noteSent(work.messagesQueued);
         return work;
     }
 
@@ -154,13 +152,17 @@ class FragmentShard
     /**
      * Push pending outbox messages into the plane's rings, as far as
      * ring space allows — never blocks; a full ring leaves the
-     * remainder queued (the shard then stays non-idle).
+     * remainder queued.
      * @param stamp sender's global block-update clock, published per
      *        flushed channel for the receiver's staleness gauge.
+     * @param on_push called with dst after each push that put
+     *        messages in dst's ring.
      * @return true when every outbox drained completely.
      */
+    template <typename OnPush>
     bool
-    flushOutboxes(MessagePlane<Value> &plane, std::uint64_t stamp)
+    flushOutboxes(MessagePlane<Value> &plane, std::uint64_t stamp,
+                  OnPush &&on_push)
     {
         bool all_drained = true;
         for (FragmentId d = 0;
@@ -176,8 +178,10 @@ class FragmentShard
                 ch.ring.pushN(ob.buf.data() + ob.head,
                               ob.buf.size() - ob.head);
             ob.head += k;
-            if (k > 0)
+            if (k > 0) {
                 ch.flushStamp.store(stamp, std::memory_order_relaxed);
+                on_push(d);
+            }
             if (ob.head == ob.buf.size()) {
                 ob.buf.clear();
                 ob.head = 0;
@@ -269,7 +273,7 @@ class FragmentShard
     std::vector<Outbox> outboxes;    //!< per destination fragment
 
     // Layout decode buffers.  Safe as members: at most one runner
-    // drives a shard at a time (the claim-flag contract above).
+    // drives a shard at a time (the driver's one-holder rule).
     EdgeSliceScratch sliceScratch_;
     ScatterScratch scatterScratch_;
 };

@@ -4,7 +4,7 @@
  *
  * The asynchronous execution models this repo reproduces (GraphABCD's
  * barrier-free block scheduling, Maiter-style delta accumulation, the
- * fragment engine's four-counter quiescence detector) share a failure
+ * fragment engine's ring-driven activations) share a failure
  * mode: a bug does not crash, it simply stops making progress — a lost
  * wakeup, a termination detector that never fires, a ring that nobody
  * drains.  Metrics alone cannot distinguish "slow" from "wedged"; a

@@ -459,6 +459,27 @@ TEST(AsyncEngine, BspWaveGatherFailureReachesTheCaller)
     }
 }
 
+TEST(AsyncEngine, AsyncStepFailureReachesTheCaller)
+{
+    // The fused step shares gatherApply's delta() check with the
+    // serial path.  A step that throws on a pool participant must halt
+    // the run and surface on the caller, not end the process, and a
+    // broken program must never read as a converged run.
+    Rng rng(58);
+    const EdgeList el = generateRmat(200, 1600, rng);
+    EngineOptions opt;
+    opt.blockSize = 8;
+    opt.mode = ExecMode::Async;
+    const BlockPartition g(el, opt.blockSize);
+    for (std::uint32_t threads : {1u, 4u}) {
+        opt.numThreads = threads;
+        AsyncEngine<NegativeDeltaProgram> engine(
+            g, NegativeDeltaProgram(), opt);
+        std::vector<double> x;
+        EXPECT_THROW(engine.run(x), PanicError) << "threads " << threads;
+    }
+}
+
 /**
  * The one-holder rule of the block driver.  If a second participant
  * could claim a block that another participant still holds, the older

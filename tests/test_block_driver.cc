@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the shared BlockDriver behind AsyncEngine and AccumEngine:
- * one holder per block under a policy that stalls inside its process
- * step, no activation lost while its block was held, and halts that
- * drop queued work never reporting convergence.
+ * Tests of the shared BlockDriver behind the threaded engines: one
+ * holder per block under a policy that stalls inside its process step,
+ * no activation lost while its block was held, halts that drop queued
+ * work never reporting convergence, and a caller that found nothing to
+ * claim taking its participant slot back when work returns.
  */
 
 #include <gtest/gtest.h>
@@ -218,6 +219,60 @@ TEST(BlockDriver, HaltsThatDropQueuedWorkNeverReportConvergence)
     AccumEngine<PageRankAccumProgram> accum(rg, PageRankAccumProgram(),
                                             endless);
     EXPECT_FALSE(accum.run(x).converged);
+}
+
+TEST(BlockDriver, CallerTakesItsSlotBackWhenWorkReturns)
+{
+    // Two units, participation two, one pool worker.  In round one the
+    // caller's unit ends while the pool participant still holds the
+    // other, so the caller has nothing to claim.  The pool step then
+    // re-activates both units, and round two needs two participants at
+    // once.  A caller gone to job->wait() would leave the second unit
+    // to a pool task queued behind the only worker.
+    const EdgeList el = generateCycle(32);
+    const BlockPartition g(el, 16);
+    ASSERT_EQ(g.numBlocks(), 2u);
+    EngineOptions opt;
+    opt.executor = std::make_shared<Executor>(1);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> calls{0};
+    std::atomic<bool> poolStarted{false};
+    std::atomic<int> inRoundTwo{0};
+    std::atomic<bool> overlapped{false};
+    auto waitFor = [](auto done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    EngineReport report = BlockDriver(g, opt, driverConfig(2, 1)).run(
+        [&](BlockId, LayoutScratch &, ActivationSink &out) {
+            if (calls.fetch_add(1) < 2) {
+                if (std::this_thread::get_id() == caller) {
+                    waitFor([&] { return poolStarted.load(); });
+                } else {
+                    poolStarted.store(true);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    out.push(0, 1.0);
+                    out.push(1, 1.0);
+                }
+            } else {
+                inRoundTwo.fetch_add(1);
+                waitFor([&] {
+                    return overlapped.load() || inRoundTwo.load() == 2;
+                });
+                if (inRoundTwo.load() == 2)
+                    overlapped.store(true);
+                inRoundTwo.fetch_sub(1);
+            }
+            return BlockWork{};
+        });
+    EXPECT_TRUE(report.converged);
+    EXPECT_EQ(calls.load(), 4);
+    EXPECT_TRUE(overlapped.load())
+        << "round two ran on one participant at a time";
 }
 
 } // namespace

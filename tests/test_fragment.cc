@@ -3,8 +3,9 @@
  * Tests of the fragment scale-out subsystem: topology cuts, the sharded
  * engine's equivalence with the exact references across fragment and
  * thread counts (including counts that do not divide |V| and the
- * 1-fragment degenerate case), termination accounting, cancellation,
- * and a cancel-storm stress aimed at the TSan build.
+ * 1-fragment degenerate case) and in the benchmark's schedule and
+ * layout configurations, termination accounting, cancellation, a
+ * failing program, and a cancel-storm stress aimed at the TSan build.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "fragment/engine.hh"
 #include "fragment/topology.hh"
 #include "graph/generators.hh"
+#include "support/logging.hh"
 
 namespace graphabcd {
 namespace {
@@ -202,6 +204,111 @@ INSTANTIATE_TEST_SUITE_P(
                     FragCase{8, 8}),
     caseName);
 
+// ------------------------- benchmark schedules x layouts sweep
+
+/** Shard schedule, layout, fragment and thread count of one case. */
+struct FragLayoutCase
+{
+    Schedule schedule;
+    bool packed;   //!< compressed layout + hub reorder, else plain
+    std::uint32_t fragments;
+    std::uint32_t threads;
+};
+
+std::string
+layoutCaseName(const testing::TestParamInfo<FragLayoutCase> &info)
+{
+    const FragLayoutCase &c = info.param;
+    return std::string(to_string(c.schedule)) +
+           (c.packed ? "_packed" : "_plain") + "_f" +
+           std::to_string(c.fragments) + "_t" + std::to_string(c.threads);
+}
+
+/**
+ * The fragment engine in the shapes the benchmark runs it: shard
+ * schedules priority and OBIM, on the plain layout and on compressed +
+ * hub reorder.  |V| = 1013 is prime, and results are checked in
+ * original vertex ids against the exact references.
+ */
+class FragmentLayoutSweep : public testing::TestWithParam<FragLayoutCase>
+{
+  protected:
+    EngineOptions
+    options() const
+    {
+        EngineOptions opt;
+        opt.blockSize = 32;
+        opt.schedule = GetParam().schedule;
+        opt.fragments = GetParam().fragments;
+        opt.numThreads = GetParam().threads;
+        return opt;
+    }
+
+    LayoutOptions
+    layout() const
+    {
+        if (GetParam().packed)
+            return {GraphLayout::Compressed, VertexReorder::Hub};
+        return {};
+    }
+};
+
+TEST_P(FragmentLayoutSweep, PageRankMatchesReference)
+{
+    Rng rng(73);
+    const EdgeList el = generateRmat(1013, 8000, rng);
+    EngineOptions opt = options();
+    opt.tolerance = 1e-12;
+    const BlockPartition g(el, opt.blockSize, layout());
+
+    FragmentEngine<PageRankProgram> engine(g, PageRankProgram(0.85),
+                                           opt);
+    std::vector<double> x;
+    EXPECT_TRUE(engine.run(x).converged);
+    x = g.permutation().valuesToOriginal(x);
+
+    const std::vector<double> ref = pagerankReference(el, 0.85);
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        ASSERT_NEAR(x[v], ref[v], 1e-6) << "vertex " << v;
+}
+
+TEST_P(FragmentLayoutSweep, SsspMatchesDijkstra)
+{
+    Rng rng(74);
+    const EdgeList el =
+        generateRmat(1013, 8000, rng, {.weighted = true});
+    EngineOptions opt = options();
+    opt.tolerance = 1e-9;
+    const BlockPartition g(el, opt.blockSize, layout());
+    const VertexId source = 3;
+
+    FragmentEngine<SsspProgram> engine(
+        g, SsspProgram(g.permutation().toInternal(source)), opt);
+    std::vector<double> dist;
+    EXPECT_TRUE(engine.run(dist).converged);
+    dist = g.permutation().valuesToOriginal(dist);
+
+    const std::vector<double> ref = dijkstraReference(el, source);
+    for (VertexId v = 0; v < el.numVertices(); v++)
+        ASSERT_NEAR(dist[v], ref[v], 1e-6) << "vertex " << v;
+}
+
+std::vector<FragLayoutCase>
+layoutCases()
+{
+    std::vector<FragLayoutCase> cases;
+    for (Schedule s : {Schedule::Priority, Schedule::Obim})
+        for (bool packed : {false, true})
+            for (std::uint32_t f : {2u, 4u})
+                for (std::uint32_t t : {1u, 4u})
+                    cases.push_back({s, packed, f, t});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(SchedulesAndLayouts, FragmentLayoutSweep,
+                         testing::ValuesIn(layoutCases()),
+                         layoutCaseName);
+
 // -------------------------------------------- accounting and control
 
 TEST(FragmentEngine, SingleFragmentSendsNoMessages)
@@ -296,14 +403,40 @@ TEST(FragmentEngine, StopTokenEndsTheRun)
     EXPECT_FALSE(report.converged);
 }
 
+/** PageRank with a broken delta(): every vertex move reads negative. */
+struct NegativeDeltaProgram : PageRankProgram
+{
+    double delta(double, double) const { return -1.0; }
+};
+
+TEST(FragmentEngine, PumpFailureReachesTheCaller)
+{
+    // A shard block whose gather fails inside a pump, on the caller or
+    // on a pool participant, must halt the run and surface on the
+    // caller instead of reporting a converged run.
+    Rng rng(75);
+    const EdgeList el = generateRmat(500, 4000, rng);
+    EngineOptions opt;
+    opt.blockSize = 32;
+    opt.fragments = 4;
+    opt.numThreads = 4;
+    const BlockPartition g(el, opt.blockSize);
+
+    FragmentEngine<NegativeDeltaProgram> engine(g, NegativeDeltaProgram(),
+                                                opt);
+    std::vector<double> x;
+    EXPECT_THROW(engine.run(x), PanicError);
+}
+
 // ------------------------------------------------------ cancel storm
 
 /**
  * The TSan target: 8 fragments under concurrent ring traffic, with a
  * stop token fired at staggered points — from before the run starts to
- * mid-flight — so claim handoff, drain/flush, the termination detector
- * and cancellation all race.  GRAPHABCD_FRAGMENT_STRESS_ITERS scales
- * the iteration count (tools/ci.sh raises it on the TSan leg).
+ * mid-flight — so the driver's claim/park handoff of fragments,
+ * drain/flush and cancellation all race.
+ * GRAPHABCD_FRAGMENT_STRESS_ITERS scales the iteration count
+ * (tools/ci.sh raises it on the TSan leg).
  */
 TEST(FragmentStress, CancelStormUnderTraffic)
 {

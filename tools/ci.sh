@@ -26,11 +26,13 @@ run_preset() {
     ctest --preset "${preset}"
 
     # The fragment engine is the most concurrency-dense code in the
-    # repo (per-fragment runners, SPSC delta rings, the four-counter
-    # termination detector, cooperative cancel).  The default stress
-    # iteration count keeps plain ctest fast; under TSan, rerun the
-    # cancel-storm stress heavier so the race detector sees many
-    # claim/flush/drain interleavings per CI run.
+    # repo: fragments are the block driver's dispatch units, and the
+    # driver's claim/park handoff is all that keeps one runner per shard
+    # and one producer and consumer per SPSC delta ring, under
+    # cooperative cancel.  The default stress iteration count keeps
+    # plain ctest fast; under TSan, rerun the cancel-storm stress
+    # heavier so the race detector sees many claim/park/drain/flush
+    # interleavings per CI run.
     # The varint/delta codec and the compressed-layout decode loops are
     # pointer-walking code over packed byte streams — exactly what ASan
     # is for.  Rerun the codec tests with the randomized round-trip
