@@ -219,8 +219,7 @@ BlockDriver::run(Process process)
     obs::Span run_span(cfg.runSpan);
     process_ = std::move(process);
     const auto units = static_cast<BlockId>(slots.size());
-    sched = makeScheduler(options.schedule, units, options.seed,
-                          cfg.participation);
+    sched = makeScheduler(options.schedule, units, cfg.participation);
     for (BlockId u = 0; u < units; u++)
         sched->activate(u, initialActivationPriority());
     exec = Executor::orShared(options.executor);

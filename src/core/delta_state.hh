@@ -233,7 +233,7 @@ runDeltaSerial(const BlockPartition &g, const Program &p,
                Schedule schedule = Schedule::Cyclic)
 {
     DeltaState<Program> state(g, p);
-    auto sched = makeScheduler(schedule, g.numBlocks(), 1);
+    auto sched = makeScheduler(schedule, g.numBlocks());
     for (BlockId b = 0; b < g.numBlocks(); b++)
         sched->activate(b, 1.0);
 

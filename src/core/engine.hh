@@ -11,7 +11,7 @@
  *  - mode Bsp => Jacobi: every active block is processed against a
  *    snapshot of the edge values and all commits land at the end of the
  *    superstep, which is exactly block size |V| in convergence terms;
- *  - schedule Cyclic / Priority / Random picks the block selection rule.
+ *  - schedule Cyclic / Priority / Obim picks the block selection rule.
  *
  * This engine produces the convergence-rate results (Fig. 4, Table III,
  * Fig. 5).  Every state transition is BcdState's (core/state.hh), which
@@ -178,8 +178,7 @@ class SerialEngine
     std::unique_ptr<BlockScheduler>
     seededScheduler() const
     {
-        auto sched = makeScheduler(options.schedule, graph.numBlocks(),
-                                   options.seed);
+        auto sched = makeScheduler(options.schedule, graph.numBlocks());
         for (BlockId b = 0; b < graph.numBlocks(); b++)
             sched->activate(b, initialActivationPriority());
         return sched;

@@ -10,12 +10,20 @@ to_string(Schedule schedule)
         return "cyclic";
       case Schedule::Priority:
         return "priority";
-      case Schedule::Random:
-        return "random";
       case Schedule::Obim:
         return "obim";
     }
     return "?";
+}
+
+std::optional<Schedule>
+parseSchedule(std::string_view name)
+{
+    for (Schedule s : {Schedule::Cyclic, Schedule::Priority, Schedule::Obim}) {
+        if (name == to_string(s))
+            return s;
+    }
+    return std::nullopt;
 }
 
 const char *

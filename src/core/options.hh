@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stop_token.hh"
@@ -21,18 +23,23 @@ namespace graphabcd {
 class Executor;
 
 /**
- * Block selection method (scheduling strategy, paper Sec. III-B).
+ * Block selection method (scheduling strategy, paper Sec. III-B): the
+ * paper's two rules, cyclic and Gauss-Southwell priority, with OBIM as
+ * the concurrent-push form of the second.
  */
 enum class Schedule
 {
     Cyclic,     //!< fixed order, predictable, prefetch friendly
     Priority,   //!< Gauss-Southwell: largest estimated gradient first
-    Random,     //!< uniform over active blocks (used in ablations)
     Obim,       //!< Gauss-Southwell via log-bucketed concurrent worklist
 };
 
 /** @return human-readable name of a Schedule. */
 const char *to_string(Schedule schedule);
+
+/** Parse a schedule name (the to_string spelling); nullopt if
+ *  unrecognized. */
+std::optional<Schedule> parseSchedule(std::string_view name);
 
 /**
  * Execution model, used by the threaded engine and the HARP simulator to
@@ -77,9 +84,6 @@ struct EngineOptions
     /** Hard safety limit in epochs (1 epoch == |V| vertex updates). */
     double maxEpochs = 10000.0;
 
-    /** Seed for the Random scheduler. */
-    std::uint64_t seed = 1;
-
     /**
      * Participation bound of the threaded asynchronous engine (and of
      * its Bsp wave gather): at most this many participants, the
@@ -93,8 +97,7 @@ struct EngineOptions
      * cut into this many contiguous, edge-balanced vertex-range
      * fragments exchanging deltas over SPSC rings.  Clamped to the
      * block count; 1 degenerates to a single self-contained shard.
-     * Ignored by the serial/async engines and the HARP sim (the sim
-     * derives its shard count from the accelerator list instead).
+     * Ignored by every other engine.
      */
     std::uint32_t fragments = 1;
 

@@ -106,38 +106,6 @@ PriorityScheduler::next()
     return std::nullopt;
 }
 
-// ---------------------------------------------------------------- Random
-
-RandomScheduler::RandomScheduler(BlockId num_blocks, std::uint64_t seed)
-    : slot(num_blocks, npos), rng(seed)
-{
-}
-
-void
-RandomScheduler::activate(BlockId b, double)
-{
-    GRAPHABCD_ASSERT(b < slot.size(), "block id out of range");
-    stats.activations++;
-    if (slot[b] != npos)
-        return;
-    slot[b] = static_cast<std::uint32_t>(pool.size());
-    pool.push_back(b);
-}
-
-std::optional<BlockId>
-RandomScheduler::next()
-{
-    if (pool.empty())
-        return std::nullopt;
-    auto idx = static_cast<std::uint32_t>(rng.nextBounded(pool.size()));
-    BlockId b = pool[idx];
-    pool[idx] = pool.back();
-    slot[pool[idx]] = idx;
-    pool.pop_back();
-    slot[b] = npos;
-    return b;
-}
-
 // ------------------------------------------------------------------ OBIM
 
 ObimScheduler::ObimScheduler(BlockId num_blocks,
@@ -424,7 +392,7 @@ flushSchedulerCounters(const BlockScheduler &sched)
 // --------------------------------------------------------------- factory
 
 std::unique_ptr<BlockScheduler>
-makeScheduler(Schedule schedule, BlockId num_blocks, std::uint64_t seed,
+makeScheduler(Schedule schedule, BlockId num_blocks,
               std::uint32_t num_workers)
 {
     switch (schedule) {
@@ -432,8 +400,6 @@ makeScheduler(Schedule schedule, BlockId num_blocks, std::uint64_t seed,
         return std::make_unique<CyclicScheduler>(num_blocks);
       case Schedule::Priority:
         return std::make_unique<PriorityScheduler>(num_blocks);
-      case Schedule::Random:
-        return std::make_unique<RandomScheduler>(num_blocks, seed);
       case Schedule::Obim:
         return std::make_unique<ObimScheduler>(num_blocks, num_workers);
     }

@@ -60,7 +60,6 @@
 #include "core/options.hh"
 #include "graph/types.hh"
 #include "obs/obs.hh"
-#include "support/random.hh"
 
 namespace graphabcd {
 
@@ -80,7 +79,7 @@ struct SchedulerCounters
 
 /**
  * Abstract block scheduler.  All implementations are deterministic given
- * the same activation sequence (Random uses a seeded generator).
+ * the same activation sequence.
  */
 class BlockScheduler
 {
@@ -203,28 +202,6 @@ class PriorityScheduler : public BlockScheduler
 };
 
 /**
- * Uniform random selection among active blocks (ablation baseline; the
- * BCD literature often analyses random selection).
- */
-class RandomScheduler : public BlockScheduler
-{
-  public:
-    RandomScheduler(BlockId num_blocks, std::uint64_t seed);
-
-    void activate(BlockId b, double priority_delta) override;
-    std::optional<BlockId> next() override;
-    std::size_t activeCount() const override { return pool.size(); }
-    Schedule kind() const override { return Schedule::Random; }
-
-  private:
-    std::vector<BlockId> pool;        //!< active blocks, unordered
-    std::vector<std::uint32_t> slot;  //!< block -> pool index or npos
-    Rng rng;
-
-    static constexpr std::uint32_t npos = ~0u;
-};
-
-/**
  * OBIM (ordered-by-integer-metric) worklist, after Galois/Katana.
  * Approximate Gauss-Southwell at concurrent-push cost:
  *
@@ -330,7 +307,6 @@ void flushSchedulerCounters(const BlockScheduler &sched);
  *  @param num_workers push-side sizing hint, only used by Obim. */
 std::unique_ptr<BlockScheduler> makeScheduler(Schedule schedule,
                                               BlockId num_blocks,
-                                              std::uint64_t seed,
                                               std::uint32_t num_workers = 8);
 
 /**

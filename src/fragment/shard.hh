@@ -75,7 +75,7 @@ class FragmentShard
           state_(g, p, opt.warmStart.get(), vBegin, vEnd)
     {
         const BlockId localBlocks = topo.blockCount(id);
-        sched = makeScheduler(opt.schedule, localBlocks, opt.seed + id);
+        sched = makeScheduler(opt.schedule, localBlocks);
         for (BlockId b = 0; b < localBlocks; b++)
             sched->activate(b, initialActivationPriority());
 

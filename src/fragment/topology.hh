@@ -7,10 +7,8 @@
  * in-edge slice.  Cuts are placed on block boundaries and balanced by
  * edge count, so each fragment streams roughly the same number of edges
  * per sweep — the load-balance rule GraphScale applies to its
- * vertex-range shards.  The same topology drives both the software
- * FragmentEngine (src/fragment/engine.hh) and the HARP simulator's
- * multi-accelerator affinity (HarpConfig::fragmentAffinity), so the
- * scale-out story is one partitioning, not two.
+ * vertex-range shards.  It drives the FragmentEngine
+ * (src/fragment/engine.hh).
  *
  * The requested fragment count is clamped to the block count: every
  * realised fragment owns at least one block (a 1-block graph degenerates

@@ -7,6 +7,7 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "graph/codec.hh"
@@ -401,6 +402,20 @@ saveEdgeList(const EdgeList &el, const std::string &path)
             ofs << ' ' << e.weight;
         ofs << '\n';
     }
+}
+
+EdgeList
+loadEdgeListFile(const std::string &path)
+{
+    auto endsWith = [&](std::string_view ext) {
+        return path.size() > ext.size() &&
+               path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
+    };
+    if (endsWith(".abcz"))
+        return loadEdgeListPacked(path);
+    if (endsWith(".bin"))
+        return loadEdgeListBinary(path);
+    return loadEdgeList(path);
 }
 
 } // namespace graphabcd

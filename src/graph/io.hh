@@ -57,6 +57,10 @@ void saveEdgeListPacked(const EdgeList &el, const std::string &path);
  */
 EdgeList loadEdgeListPacked(const std::string &path);
 
+/** Load `path` in the format its extension names: .abcz packed, .bin
+ *  binary, anything else the text edge list. */
+EdgeList loadEdgeListFile(const std::string &path);
+
 } // namespace graphabcd
 
 #endif // GRAPHABCD_GRAPH_IO_HH

@@ -80,17 +80,6 @@ struct HarpConfig
     double peEdgesPerCycle = 0.5;       //!< sustained edges/cycle per PE
     double pePipelineDepth = 24.0;      //!< drain cycles per block task
 
-    /**
-     * Home blocks onto accelerators with the fragment partitioning
-     * (FragmentTopology cut into one fragment per device — the same
-     * cut the software FragmentEngine uses): an idle PE prefers a
-     * queued block its own device's fragment owns and falls back to
-     * the queue head otherwise, so affinity never starves a device.
-     * Off by default; bench/scaleout enables it for the
-     * multi-accelerator grid.  No effect with a single device.
-     */
-    bool fragmentAffinity = false;
-
     // -------------------------------------------------------- CPU side
     std::uint32_t cpuThreads = 14;      //!< SCATTER / scheduler threads
     double cpuThreadBytesPerSec = 2.5e9; //!< per-thread DRAM share
@@ -119,7 +108,8 @@ struct HarpConfig
     // ------------------------------------------------- graph layout
     /**
      * Topology bytes streamed per edge (src id + weight).  8.0 is the
-     * plain CSC record; serve sets it from the partition's measured
+     * plain CSC record; the job runner (serve/runner, behind abcd_cli
+     * and abcd_serve) sets it from the partition's measured
      * BlockPartition::gatherBytesPerEdge() so the simulated DMA traffic
      * tracks the real layout (compressed layouts land well under 8).
      */

@@ -31,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/convergence_window.hh"
@@ -39,7 +38,6 @@
 #include "core/scheduler.hh"
 #include "core/state.hh"
 #include "core/vertex_program.hh"
-#include "fragment/topology.hh"
 #include "graph/partition.hh"
 #include "harp/bus.hh"
 #include "harp/config.hh"
@@ -73,12 +71,6 @@ class HarpSystem
                     static_cast<std::uint32_t>(buses.size() - 1));
             }
         }
-        if (cfg.fragmentAffinity && devices.size() > 1) {
-            // One fragment per device, same edge-balanced cut as the
-            // software FragmentEngine.
-            affinity.emplace(
-                g, static_cast<std::uint32_t>(devices.size()));
-        }
     }
 
     /** @return total PE count across all accelerator devices. */
@@ -98,8 +90,7 @@ class HarpSystem
         wallTimer.start();
         state = std::make_unique<BcdState<Program>>(
             graph, program, engineOpt.warmStart.get());
-        sched = makeScheduler(engineOpt.schedule, graph.numBlocks(),
-                              engineOpt.seed);
+        sched = makeScheduler(engineOpt.schedule, graph.numBlocks());
         for (BlockId b = 0; b < graph.numBlocks(); b++)
             sched->activate(b, initialActivationPriority());
 
@@ -162,9 +153,6 @@ class HarpSystem
                     .add(report.busReadBytes);
                 obs::counter("harp.bus_write_bytes")
                     .add(report.busWriteBytes);
-                obs::counter("harp.affinity_hits").add(affinityHits);
-                obs::counter("harp.affinity_misses")
-                    .add(affinityMisses);
             }
         }
         out_values = state->values();
@@ -274,25 +262,8 @@ class HarpSystem
                 peDevice[static_cast<std::uint32_t>(pe)];
             Bus &bus = buses[dev];
             const AcceleratorSpec &spec = devices[dev];
-            // With fragment affinity, prefer a queued block homed on
-            // this PE's device; take the head otherwise, so affinity
-            // reorders but never starves (work-conserving).
-            auto pick = accelQueue.begin();
-            if (affinity) {
-                for (auto it = accelQueue.begin();
-                     it != accelQueue.end(); ++it) {
-                    if (affinity->fragmentOfBlock(*it) == dev) {
-                        pick = it;
-                        break;
-                    }
-                }
-                if (affinity->fragmentOfBlock(*pick) == dev)
-                    affinityHits++;
-                else
-                    affinityMisses++;
-            }
-            BlockId b = *pick;
-            accelQueue.erase(pick);
+            const BlockId b = accelQueue.front();
+            accelQueue.pop_front();
 
             // Functional GATHER-APPLY at dispatch time: the PE sees the
             // edge values committed so far (asynchronous staleness).
@@ -338,10 +309,11 @@ class HarpSystem
                                  (wr.end - now) * 1e6);
 
             // Paper step 7: hand the finished block to the CPU queue.
-            events.schedule(wr.end, [this, task = std::move(task)]() {
-                cpuQueue.push_back(task);
-                tryStartCpu();
-            });
+            events.schedule(wr.end,
+                            [this, task = std::move(task)]() mutable {
+                                cpuQueue.push_back(std::move(task));
+                                tryStartCpu();
+                            });
             events.schedule(wr.end, [this] { tryStartPe(); });
         }
     }
@@ -419,8 +391,8 @@ class HarpSystem
         obs::completeOnTrack(cpuTrack(w), "harp.cpu.scatter", now * 1e6,
                              service * 1e6);
 
-        events.schedule(done, [this, task = std::move(task)]() {
-            commitTask(task);
+        events.schedule(done, [this, task = std::move(task)]() mutable {
+            commitTask(std::move(task));
         });
         events.schedule(done, [this] { tryStartCpu(); });
     }
@@ -445,25 +417,25 @@ class HarpSystem
         obs::completeOnTrack(cpuTrack(w), "harp.cpu.gather", now * 1e6,
                              service * 1e6);
 
-        events.schedule(done, [this, task = std::move(task)]() {
-            cpuQueue.push_back(task);
+        events.schedule(done, [this, task = std::move(task)]() mutable {
+            cpuQueue.push_back(std::move(task));
             tryStartCpu();
         });
     }
 
     /** Functional commit at simulated SCATTER completion time. */
     void
-    commitTask(const Task &task)
+    commitTask(Task task)
     {
         const double now = events.now();
         if (engineOpt.mode == ExecMode::Bsp) {
             // Jacobi: park the update until the wave barrier.
-            waveDone.push_back(task);
             inflight--;
             report.blockUpdates++;
             report.vertexUpdates += task.update.newValues.size();
             report.edgeTraversals += graph.blockEdgeCount(task.block);
             endTime = std::max(endTime, now);
+            waveDone.push_back(std::move(task));
             if (inflight == 0)
                 finishWave();
             return;
@@ -630,9 +602,6 @@ class HarpSystem
     HarpConfig cfg;
     std::vector<AcceleratorSpec> devices;
     std::vector<std::uint32_t> peDevice;   //!< PE index -> device index
-    std::optional<FragmentTopology> affinity;   //!< device homing cut
-    std::uint64_t affinityHits = 0;    //!< PE took a home-fragment block
-    std::uint64_t affinityMisses = 0;  //!< PE fell back to the head
 
     std::unique_ptr<BcdState<Program>> state;
     LayoutScratch scratch;   //!< decode buffers of the one event loop

@@ -64,7 +64,8 @@ enum class SubmitError
     None,          //!< admitted (or served directly from the cache)
     QueueFull,     //!< admission queue saturated — retry later
     UnknownGraph,  //!< no such name in the GraphRegistry
-    BadRequest,    //!< unsupported algorithm/engine combination
+    BadRequest,    //!< unknown algorithm or engine, a pair without a
+                   //!< program, or a source that is not a vertex
     ShuttingDown,  //!< the service is stopping
     Shed,          //!< shed at admission: the estimated queue wait
                    //!< alone would blow the job's deadline
@@ -77,13 +78,14 @@ const char *to_string(SubmitError error);
 struct JobRequest
 {
     std::string graph;            //!< GraphRegistry name
-    std::string algo = "pr";      //!< pr | ppr | sssp | bfs | cc | lp
-    std::string engine = "serial"; //!< serial | async | sim
+    std::string algo = "pr";      //!< runner.hh lists the algorithms
+    std::string engine = "serial"; //!< and the engines
     std::string tenant;           //!< QoS lane; empty = "default".
                                   //!< Never part of the result identity:
                                   //!< cache hits and warm starts are
                                   //!< shared across tenants.
     VertexId source = 0;          //!< sssp / bfs / ppr source vertex
+    std::uint32_t k = 3;          //!< kcore: the k
     EngineOptions options;        //!< run knobs (blockSize is taken
                                   //!< from the registered partition)
     double priority = 0.0;        //!< larger runs first

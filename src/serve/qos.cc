@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/protocol.hh"
+
 namespace graphabcd {
 
 namespace {
@@ -22,34 +24,6 @@ split(const std::string &s, char sep)
         out.push_back(s.substr(start, pos - start));
         start = pos + 1;
     }
-}
-
-bool
-parseDouble(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        *out = std::stod(s, &consumed);
-    } catch (...) {
-        return false;
-    }
-    return consumed == s.size();
-}
-
-bool
-parseSize(const std::string &s, std::size_t *out)
-{
-    if (s.empty() || s[0] == '-')
-        return false;
-    std::size_t consumed = 0;
-    try {
-        *out = static_cast<std::size_t>(std::stoull(s, &consumed));
-    } catch (...) {
-        return false;
-    }
-    return consumed == s.size();
 }
 
 void
@@ -81,18 +55,27 @@ parseTenantQosSpecs(const std::string &spec,
             return false;
         }
         TenantQos qos;
-        if (!parseDouble(fields[1], &qos.weight) || qos.weight <= 0.0) {
+        const auto weight = parseReal(fields[1]);
+        if (!weight || *weight <= 0.0) {
             fail(error, clause, "weight must be a positive number");
             return false;
         }
-        if (fields.size() >= 3 &&
-            !parseSize(fields[2], &qos.maxInFlight)) {
-            fail(error, clause, "maxInFlight must be a non-negative int");
-            return false;
+        qos.weight = *weight;
+        if (fields.size() >= 3) {
+            const auto in_flight = parseUnsigned(fields[2]);
+            if (!in_flight) {
+                fail(error, clause, "maxInFlight must be a non-negative int");
+                return false;
+            }
+            qos.maxInFlight = *in_flight;
         }
-        if (fields.size() >= 4 && !parseSize(fields[3], &qos.maxQueued)) {
-            fail(error, clause, "maxQueued must be a non-negative int");
-            return false;
+        if (fields.size() >= 4) {
+            const auto queued = parseUnsigned(fields[3]);
+            if (!queued) {
+                fail(error, clause, "maxQueued must be a non-negative int");
+                return false;
+            }
+            qos.maxQueued = *queued;
         }
         parsed[fields[0]] = qos;
     }

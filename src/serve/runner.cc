@@ -1,8 +1,8 @@
 #include "serve/runner.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "algorithms/extras.hh"
@@ -37,6 +37,7 @@ fromSimReport(const SimReport &sim)
     return report;
 }
 
+/** Run a state-based program on req.engine (every engine but accum). */
 template <typename Program>
 RunOutcome
 runWith(const BlockPartition &g, Program program, const JobRequest &req)
@@ -46,18 +47,12 @@ runWith(const BlockPartition &g, Program program, const JobRequest &req)
         SerialEngine<Program> engine(g, program, req.options);
         out.report = engine.run(out.values);
     } else if (req.engine == "async") {
-        if constexpr (std::atomic<
-                          typename Program::Value>::is_always_lock_free) {
-            AsyncEngine<Program> engine(g, program, req.options);
-            out.report = engine.run(out.values);
-        } else {
-            out.error = "algorithm '" + req.algo +
-                        "' is not lock-free atomic; use engine=serial";
-        }
+        AsyncEngine<Program> engine(g, program, req.options);
+        out.report = engine.run(out.values);
     } else if (req.engine == "fragment") {
         FragmentEngine<Program> engine(g, program, req.options);
         out.report = engine.run(out.values);
-    } else if (req.engine == "sim") {
+    } else {   // sim
         HarpConfig cfg;
         // Simulated DMA traffic tracks the real layout: a compressed
         // partition streams measurably fewer topology bytes per edge
@@ -65,14 +60,11 @@ runWith(const BlockPartition &g, Program program, const JobRequest &req)
         cfg.layoutBytesPerEdge = g.gatherBytesPerEdge();
         HarpSystem<Program> system(g, program, req.options, cfg);
         out.report = fromSimReport(system.run(out.values));
-    } else {
-        out.error = "unknown engine '" + req.engine + "'";
     }
     return out;
 }
 
-/** engine=accum: the accumulative programs are separate types, so the
- *  algo dispatch is separate from runWith's. */
+/** engine=accum: the accumulative programs are separate types. */
 template <typename Program>
 RunOutcome
 runAccum(const BlockPartition &g, Program program, const JobRequest &req)
@@ -83,21 +75,86 @@ runAccum(const BlockPartition &g, Program program, const JobRequest &req)
     return out;
 }
 
-RunOutcome
-runAccumJob(const BlockPartition &g, const JobRequest &req)
+using RunFn = RunOutcome (*)(const BlockPartition &, const JobRequest &);
+
+/** @return the runner of the state-based program `Make{}(req)`. */
+template <typename Make>
+constexpr RunFn
+stateBased(Make)
 {
-    if (req.algo == "pr")
-        return runAccum(g, PageRankAccumProgram(), req);
-    if (req.algo == "sssp")
-        return runAccum(g, SsspAccumProgram(req.source), req);
-    if (req.algo == "bfs")
-        return runAccum(g, BfsAccumProgram(req.source), req);
-    if (req.algo == "cc")
-        return runAccum(g, CcAccumProgram(), req);
-    RunOutcome out;
-    out.error = "algorithm '" + req.algo +
-                "' has no accumulative (delta) form; use another engine";
-    return out;
+    return [](const BlockPartition &g, const JobRequest &r) {
+        return runWith(g, Make{}(r), r);
+    };
+}
+
+/** @return the runner of the accumulative program `Make{}(req)`. */
+template <typename Make>
+constexpr RunFn
+accumulative(Make)
+{
+    return [](const BlockPartition &g, const JobRequest &r) {
+        return runAccum(g, Make{}(r), r);
+    };
+}
+
+/** One runnable algorithm: the only list of them (see runner.hh). */
+struct Algo
+{
+    const char *name;
+    RunFn run;                //!< the state-based program, any engine
+    RunFn accum;              //!< its accumulative form; null if none
+    bool usesSource;          //!< fixpoint depends on JobRequest::source
+    bool usesK;               //!< fixpoint depends on JobRequest::k
+    /** Values are vertex ids themselves (cc component representatives,
+     *  lp community labels): under a reorder the engine computes them
+     *  in internal ids, so the boundary translates them too. */
+    bool valuesAreVertexIds;
+};
+
+const Algo kAlgos[] = {
+    {"pr", stateBased([](const JobRequest &) { return PageRankProgram(); }),
+     accumulative([](const JobRequest &) { return PageRankAccumProgram(); }),
+     false, false, false},
+    {"ppr", stateBased([](const JobRequest &r) {
+         return PersonalizedPageRankProgram(r.source);
+     }),
+     nullptr, true, false, false},
+    {"sssp",
+     stateBased([](const JobRequest &r) { return SsspProgram(r.source); }),
+     accumulative(
+         [](const JobRequest &r) { return SsspAccumProgram(r.source); }),
+     true, false, false},
+    {"bfs",
+     stateBased([](const JobRequest &r) { return BfsProgram(r.source); }),
+     accumulative(
+         [](const JobRequest &r) { return BfsAccumProgram(r.source); }),
+     true, false, false},
+    {"cc", stateBased([](const JobRequest &) { return CcProgram(); }),
+     accumulative([](const JobRequest &) { return CcAccumProgram(); }),
+     false, false, true},
+    {"lp", stateBased([](const JobRequest &) {
+         return LabelPropagationProgram();
+     }),
+     nullptr, false, false, true},
+    {"kcore",
+     stateBased([](const JobRequest &r) { return KCoreProgram(r.k); }),
+     nullptr, false, true, false},
+    {"color", stateBased([](const JobRequest &) { return ColoringProgram(); }),
+     nullptr, false, false, false},
+};
+
+/** Every engine runWith dispatches to, plus accum. */
+const char *const kEngines[] = {"serial", "async", "fragment", "sim",
+                                "accum"};
+
+const Algo *
+findAlgo(const std::string &name)
+{
+    for (const Algo &a : kAlgos) {
+        if (name == a.name)
+            return &a;
+    }
+    return nullptr;
 }
 
 /**
@@ -141,31 +198,17 @@ runWedgeJob(const BlockPartition &g, const JobRequest &req)
     return out;
 }
 
-/** Algorithms whose fixpoint depends on JobRequest::source. */
-bool
-algoUsesSource(const std::string &algo)
-{
-    return algo == "sssp" || algo == "bfs" || algo == "ppr";
-}
-
-/**
- * Algorithms whose per-vertex values are themselves vertex ids (cc
- * component representatives, lp community labels).  Under a reorder
- * the engine computes labels in internal ids; the boundary translates
- * them so callers see original ids end to end.
- */
-bool
-algoValuesAreVertexIds(const std::string &algo)
-{
-    return algo == "cc" || algo == "lp";
-}
-
 } // namespace
 
 RunOutcome
 runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
                 std::shared_ptr<Executor> executor)
 {
+    RunOutcome out;
+    if (!isRunnable(req, g, &out.error))
+        return out;
+    const Algo &algo = *findAlgo(req.algo);
+
     // The pool is an execution resource, not a semantic option, so it
     // is injected here (per call) rather than fingerprinted.
     const JobRequest *effective = &req;
@@ -188,7 +231,7 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
     // which stores original-id vectors).
     const VertexPermutation &perm = g.permutation();
     if (!perm.isIdentity()) {
-        if (algoUsesSource(req.algo) && req.source < g.numVertices())
+        if (algo.usesSource)
             mutableReq().source = perm.toInternal(req.source);
         if (req.options.warmStart &&
             req.options.warmStart->size() == g.numVertices()) {
@@ -196,7 +239,7 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
                 perm.valuesToInternal(*req.options.warmStart);
             // Id-valued warm starts carry original-id labels; the
             // engine expects internal ones.
-            if (algoValuesAreVertexIds(req.algo)) {
+            if (algo.valuesAreVertexIds) {
                 for (double &x : warm) {
                     const auto label = static_cast<VertexId>(x);
                     if (label < g.numVertices())
@@ -210,25 +253,12 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
     }
 
     const JobRequest &r = *effective;
-    RunOutcome out;
     if (r.engine == "wedge")
         out = runWedgeJob(g, r);
     else if (r.engine == "accum")
-        out = runAccumJob(g, r);
-    else if (r.algo == "pr")
-        out = runWith(g, PageRankProgram(), r);
-    else if (r.algo == "ppr")
-        out = runWith(g, PersonalizedPageRankProgram(r.source), r);
-    else if (r.algo == "sssp")
-        out = runWith(g, SsspProgram(r.source), r);
-    else if (r.algo == "bfs")
-        out = runWith(g, BfsProgram(r.source), r);
-    else if (r.algo == "cc")
-        out = runWith(g, CcProgram(), r);
-    else if (r.algo == "lp")
-        out = runWith(g, LabelPropagationProgram(), r);
+        out = algo.accum(g, r);
     else
-        out.error = "unknown algorithm '" + r.algo + "'";
+        out = algo.run(g, r);
 
     if (!perm.isIdentity() && out.values.size() == g.numVertices()) {
         out.values = perm.valuesToOriginal(out.values);
@@ -237,7 +267,7 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
         // component gets is whichever member the reorder placed first —
         // consistent within a run, but not necessarily the minimum
         // original id.
-        if (algoValuesAreVertexIds(req.algo)) {
+        if (algo.valuesAreVertexIds) {
             for (double &x : out.values) {
                 const auto label = static_cast<VertexId>(x);
                 if (label < g.numVertices())
@@ -251,34 +281,56 @@ runAnalyticsJob(const BlockPartition &g, const JobRequest &req,
 bool
 isRunnable(const JobRequest &req, std::string *why)
 {
-    static const char *const algos[] = {"pr",  "ppr", "sssp",
-                                        "bfs", "cc",  "lp"};
-    static const char *const engines[] = {"serial", "async", "fragment",
-                                          "sim", "accum"};
-    static const char *const accum_algos[] = {"pr", "sssp", "bfs", "cc"};
-    bool algo_ok = false;
-    for (const char *a : algos)
-        algo_ok = algo_ok || req.algo == a;
+    std::string error;
+    const Algo *algo = findAlgo(req.algo);
     bool engine_ok = false;
-    for (const char *e : engines)
+    for (const char *e : kEngines)
         engine_ok = engine_ok || req.engine == e;
     // The watchdog drill engine exists only when explicitly enabled.
     if (req.engine == "wedge" && wedgeEngineEnabled())
         engine_ok = true;
-    bool combo_ok = true;
-    if (algo_ok && engine_ok && req.engine == "accum") {
-        combo_ok = false;
-        for (const char *a : accum_algos)
-            combo_ok = combo_ok || req.algo == a;
+    if (!algo)
+        error = "unknown algorithm '" + req.algo + "'";
+    else if (!engine_ok)
+        error = "unknown engine '" + req.engine + "'";
+    else if (req.engine == "accum" && !algo->accum)
+        error = "algorithm '" + req.algo +
+                "' has no accumulative (delta) form; use another engine";
+    if (why && !error.empty())
+        *why = error;
+    return error.empty();
+}
+
+bool
+isRunnable(const JobRequest &req, const BlockPartition &g,
+           std::string *why)
+{
+    if (!isRunnable(req, why))
+        return false;
+    if (findAlgo(req.algo)->usesSource && req.source >= g.numVertices()) {
+        if (why) {
+            *why = "source " + std::to_string(req.source) +
+                   " is not a vertex (|V| = " +
+                   std::to_string(g.numVertices()) + ")";
+        }
+        return false;
     }
-    if (!algo_ok && why)
-        *why = "unknown algorithm '" + req.algo + "'";
-    else if (!engine_ok && why)
-        *why = "unknown engine '" + req.engine + "'";
-    else if (!combo_ok && why)
-        *why = "algorithm '" + req.algo +
-               "' has no accumulative (delta) form";
-    return algo_ok && engine_ok && combo_ok;
+    return true;
+}
+
+std::vector<std::string>
+algorithmNames()
+{
+    std::vector<std::string> names;
+    for (const Algo &a : kAlgos)
+        names.emplace_back(a.name);
+    return names;
+}
+
+std::vector<std::string>
+engineNames()
+{
+    return {std::begin(kEngines), std::end(kEngines)};
 }
 
 std::uint64_t
@@ -295,10 +347,13 @@ jobFamilyFingerprint(std::uint64_t graph_fingerprint,
     // pagerank/cc/lp requests with different stray sources would miss
     // the ResultCache (and its warm-start path) for no reason.  The
     // sentinel cannot collide with a real source: VertexId is 32-bit.
+    // kcore's k is mixed the same way, only where it matters.
+    const Algo *algo = findAlgo(req.algo);
     constexpr std::uint64_t kNoSource = ~std::uint64_t{0};
-    fp.mix(algoUsesSource(req.algo)
-               ? static_cast<std::uint64_t>(req.source)
-               : kNoSource);
+    fp.mix(algo && algo->usesSource ? static_cast<std::uint64_t>(req.source)
+                                    : kNoSource);
+    if (algo && algo->usesK)
+        fp.mix(static_cast<std::uint64_t>(req.k));
     return fp.value();
 }
 
@@ -314,7 +369,6 @@ jobFingerprint(std::uint64_t graph_fingerprint, const JobRequest &req)
     fp.mix(static_cast<std::uint64_t>(opt.mode));
     fp.mix(opt.tolerance);
     fp.mix(opt.maxEpochs);
-    fp.mix(opt.seed);
     fp.mix(static_cast<std::uint64_t>(opt.numThreads));
     // The fragment cut changes the update schedule (hence the exact
     // floating-point trajectory), so it is part of the result identity.

@@ -157,7 +157,7 @@ TEST(PageRankDelta, RankMassIsConservedToFixpoint)
     };
     EXPECT_NEAR(conserved(), 1.0, 1e-12);   // seed state
 
-    auto sched = makeScheduler(Schedule::Cyclic, g.numBlocks(), 1);
+    auto sched = makeScheduler(Schedule::Cyclic, g.numBlocks());
     for (BlockId b = 0; b < g.numBlocks(); b++)
         sched->activate(b, 1.0);
     std::uint64_t commits = 0;

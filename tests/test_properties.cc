@@ -175,9 +175,8 @@ TEST_P(SeedSweep, SchedulersDrainExactlyTheActivatedSet)
 {
     Rng rng(GetParam() ^ 0xD00DULL);
     const auto blocks = static_cast<BlockId>(8 + rng.nextBounded(100));
-    for (Schedule kind :
-         {Schedule::Cyclic, Schedule::Priority, Schedule::Random}) {
-        auto sched = makeScheduler(kind, blocks, GetParam());
+    for (Schedule kind : {Schedule::Cyclic, Schedule::Priority}) {
+        auto sched = makeScheduler(kind, blocks);
         std::vector<char> activated(blocks, 0);
         const auto picks = 1 + rng.nextBounded(blocks);
         for (std::uint64_t i = 0; i < picks; i++) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the block schedulers: cyclic order, Gauss-Southwell priority
- * order, random coverage, activation/deactivation bookkeeping.
+ * order, OBIM levels, activation/deactivation bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -221,36 +221,6 @@ TEST(Priority, RandomizedModelAudit)
     }
 }
 
-TEST(Random, CoversAllActiveBlocks)
-{
-    RandomScheduler s(8, /*seed=*/5);
-    for (BlockId b = 0; b < 8; b++)
-        s.activate(b, 1.0);
-    std::set<BlockId> seen;
-    while (auto b = s.next())
-        seen.insert(*b);
-    EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(Random, DeterministicPerSeed)
-{
-    RandomScheduler a(16, 7), b(16, 7);
-    for (BlockId i = 0; i < 16; i++) {
-        a.activate(i, 1.0);
-        b.activate(i, 1.0);
-    }
-    for (int i = 0; i < 16; i++)
-        EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(Random, ActivationIdempotent)
-{
-    RandomScheduler s(4, 1);
-    s.activate(2, 1.0);
-    s.activate(2, 1.0);
-    EXPECT_EQ(s.activeCount(), 1u);
-}
-
 TEST(Obim, LevelOfMapsExponentsToLevels)
 {
     // Level 0 holds the largest priorities; the seed priority (1e9,
@@ -403,16 +373,14 @@ TEST(Obim, ConcurrentPushesAreNeitherLostNorDuplicated)
 
 TEST(Factory, BuildsTheRequestedKind)
 {
-    EXPECT_EQ(makeScheduler(Schedule::Cyclic, 4, 1)->kind(),
+    EXPECT_EQ(makeScheduler(Schedule::Cyclic, 4)->kind(),
               Schedule::Cyclic);
-    EXPECT_EQ(makeScheduler(Schedule::Priority, 4, 1)->kind(),
+    EXPECT_EQ(makeScheduler(Schedule::Priority, 4)->kind(),
               Schedule::Priority);
-    EXPECT_EQ(makeScheduler(Schedule::Random, 4, 1)->kind(),
-              Schedule::Random);
-    auto obim = makeScheduler(Schedule::Obim, 4, 1, /*num_workers=*/2);
+    auto obim = makeScheduler(Schedule::Obim, 4, /*num_workers=*/2);
     EXPECT_EQ(obim->kind(), Schedule::Obim);
     EXPECT_TRUE(obim->concurrentPush());
-    EXPECT_FALSE(makeScheduler(Schedule::Priority, 4, 1)->concurrentPush());
+    EXPECT_FALSE(makeScheduler(Schedule::Priority, 4)->concurrentPush());
 }
 
 TEST(Factory, NamesRoundTrip)
@@ -422,6 +390,14 @@ TEST(Factory, NamesRoundTrip)
     EXPECT_STREQ(to_string(Schedule::Obim), "obim");
     EXPECT_STREQ(to_string(ExecMode::Async), "async");
     EXPECT_STREQ(to_string(ExecMode::Bsp), "bsp");
+}
+
+TEST(Factory, ParseScheduleRoundTripsAndRejectsUnknownNames)
+{
+    for (Schedule s : {Schedule::Cyclic, Schedule::Priority, Schedule::Obim})
+        EXPECT_EQ(parseSchedule(to_string(s)), s);
+    for (const char *bad : {"", "prio", "bogus", "random", "Cyclic"})
+        EXPECT_FALSE(parseSchedule(bad).has_value()) << bad;
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 
 #include "core/stop_token.hh"
 #include "graph/generators.hh"
+#include "algorithms/extras.hh"
 #include "algorithms/reference.hh"
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
@@ -217,6 +218,53 @@ TEST(FairShareQueue, CloseDrainsBacklogIgnoringQuota)
     EXPECT_EQ(q.tryPop(out), PopStatus::Drained);
     EXPECT_EQ(q.pop(), std::nullopt);
     EXPECT_TRUE(q.isClosed());
+}
+
+TEST(FairShareQueue, WeightedSharesHoldUnderAFlood)
+{
+    // Lanes weighted 4:2:1:1 on a 16-slot queue.  Every lane offers
+    // more than its share each round, and "free" floods at 30x
+    // bronze's offered load; eight pops per round.  Fair share, not
+    // offered load, must set who is served: each lane's share of pops
+    // lands within 1% of weight / sum(weights).
+    QosConfig cfg;
+    cfg.capacity = 16;
+    const std::map<std::string, std::pair<double, int>> lanes = {
+        {"gold", {4.0, 5}},
+        {"silver", {2.0, 3}},
+        {"bronze", {1.0, 2}},
+        {"free", {1.0, 60}},
+    };
+    for (const auto &[tenant, lane] : lanes)
+        cfg.tenants[tenant] = {lane.first, 0, 0};
+    FairShareQueue<int> q(cfg);
+    std::map<std::string, std::uint64_t> served;
+    std::uint64_t pops = 0, refused = 0;
+    for (int round = 0; round < 2000; round++) {
+        for (int i = 0; i < 60; i++) {
+            for (const auto &[tenant, lane] : lanes) {
+                if (i < lane.second &&
+                    q.tryPush(round, tenant).outcome != AdmitOutcome::Admitted)
+                    refused++;
+            }
+        }
+        for (int i = 0; i < 8; i++) {
+            std::string tenant;
+            int item = 0;
+            ASSERT_EQ(q.tryPop(item, &tenant), PopStatus::Ok);
+            q.release(tenant);
+            if (round >= 100) {   // past the fill-up
+                served[tenant]++;
+                pops++;
+            }
+        }
+    }
+    EXPECT_GT(refused, 0u);   // the flood met backpressure
+    for (const auto &[tenant, lane] : lanes) {
+        const double share = static_cast<double>(served[tenant]) / pops;
+        const double target = lane.first / 8.0;
+        EXPECT_NEAR(share, target, 0.01 * target) << tenant;
+    }
 }
 
 TEST(FairShareQueue, ParsesTenantSpecs)
@@ -665,6 +713,62 @@ TEST_F(ServeTest, AccumEngineRejectsAlgosWithoutADeltaForm)
         << out.error;
 }
 
+TEST_F(ServeTest, RunnerTableAgreesWithIsRunnableOnEveryCell)
+{
+    // Every algo of the table x every engine, plus names the table
+    // lacks: runAnalyticsJob fails exactly when isRunnable refuses, and
+    // every cell it runs converges to a correct answer.
+    Rng rng(5);
+    const EdgeList sym =
+        generateRmat(96, 500, rng, {.weighted = true}).symmetrized();
+    const BlockPartition g(sym, 16);
+    std::vector<std::string> algos = algorithmNames();
+    std::vector<std::string> engines = engineNames();
+    EXPECT_EQ(algos.size(), 8u);
+    EXPECT_EQ(engines.size(), 5u);
+    algos.push_back("bogus");
+    engines.push_back("bogus");
+    engines.push_back("wedge");   // not enabled in this process
+    const std::vector<double> pr = pagerankReference(sym, 0.85);
+    const std::vector<double> sssp = dijkstraReference(sym, 0);
+    const std::vector<double> cc = ccReference(sym);
+    int runnable_cells = 0;
+    for (const std::string &algo : algos) {
+        for (const std::string &engine : engines) {
+            JobRequest req = request("sym", algo, engine);
+            req.options.tolerance = 1e-10;
+            req.options.fragments = 2;
+            std::string why;
+            const bool runnable = isRunnable(req, g, &why);
+            const RunOutcome out = runAnalyticsJob(g, req);
+            SCOPED_TRACE(algo + " on " + engine);
+            ASSERT_EQ(out.ok(), runnable) << out.error;
+            EXPECT_EQ(out.error, runnable ? "" : why);
+            if (!runnable)
+                continue;
+            runnable_cells++;
+            EXPECT_TRUE(out.report.converged);
+            ASSERT_EQ(out.values.size(), g.numVertices());
+            for (VertexId v = 0; v < g.numVertices(); v++) {
+                if (algo == "pr") {
+                    EXPECT_NEAR(out.values[v], pr[v], 1e-6) << v;
+                } else if (algo == "sssp" && out.values[v] != sssp[v]) {
+                    EXPECT_NEAR(out.values[v], sssp[v], 1e-9) << v;
+                }
+            }
+            if (algo == "cc") {
+                EXPECT_EQ(out.values, cc);
+            } else if (algo == "color") {
+                EXPECT_EQ(coloringConflicts(g, out.values), 0u);
+            } else if (algo == "kcore") {
+                EXPECT_EQ(out.values, kcoreReference(sym, req.k));
+            }
+        }
+    }
+    // 8 algos x 4 engines, plus accum for pr, sssp, bfs and cc.
+    EXPECT_EQ(runnable_cells, 36);
+}
+
 TEST_F(ServeTest, FragmentEngineJobsRunThroughTheServeLayer)
 {
     ServeConfig cfg;
@@ -911,6 +1015,14 @@ TEST_F(ServeTest, RejectsUnknownGraphsAndBadRequests)
               SubmitError::BadRequest);
     EXPECT_EQ(manager.submit(request("web", "pr", "nope")).error,
               SubmitError::BadRequest);
+    // A source-using algo's source must be a vertex; other algos
+    // ignore a stray source.
+    const VertexId n = registry.get("web")->numVertices();
+    EXPECT_EQ(manager.submit(request("web", "sssp", "serial", n)).error,
+              SubmitError::BadRequest);
+    EXPECT_EQ(manager.submit(request("web", "ppr", "async", ~0u)).error,
+              SubmitError::BadRequest);
+    EXPECT_TRUE(manager.submit(request("web", "pr", "serial", n)).ok());
 
     manager.shutdown();
     EXPECT_EQ(manager.submit(request("web", "pr", "serial")).error,

@@ -3,173 +3,80 @@
  * Command-line driver: run any supported algorithm on an edge-list file
  * or a named synthetic dataset, on the engine of your choice, and print
  * a result summary — the utility a downstream user reaches for first.
+ * It builds a JobRequest and runs it through runAnalyticsJob
+ * (serve/runner.hh), the same path abcd_serve's jobs take, so the two
+ * tools accept the same algorithms, engines and schedules.
  *
  * Examples:
  *   abcd_cli --algo pr --dataset LJ --schedule priority
  *   abcd_cli --algo sssp --graph web.el --source 17 --engine async
- *   abcd_cli --algo cc --dataset WT --engine sim --pes 8
+ *   abcd_cli --algo cc --dataset WT --engine sim
  *   abcd_cli --algo pr --dataset PS --engine accum --schedule obim
+ *   abcd_cli --algo pr --dataset LJ --engine fragment --fragments 4
  *   abcd_cli --algo pr --graph web.el --dump ranks.txt
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <string_view>
+#include <limits>
+#include <string>
+#include <vector>
 
-#include "algorithms/extras.hh"
-#include "algorithms/label_propagation.hh"
-#include "algorithms/pagerank.hh"
-#include "algorithms/sssp.hh"
-#include "core/accum_engine.hh"
-#include "core/async_engine.hh"
-#include "core/engine.hh"
 #include "graph/datasets.hh"
 #include "graph/io.hh"
 #include "graph/stats.hh"
-#include "harp/system.hh"
+#include "serve/runner.hh"
 #include "support/flags.hh"
+#include "support/logging.hh"
 #include "support/units.hh"
 
 using namespace graphabcd;
 
 namespace {
 
-struct CliOptions
+/** Load the graph --graph or --dataset names. */
+EdgeList
+loadGraph(const Flags &flags, const char *argv0)
 {
-    std::string engine;       //!< serial | async | accum | sim
-    EngineOptions opt;
-    HarpConfig harp;
-    std::string dump;         //!< write per-vertex results here
-};
-
-/** Write per-vertex results to cli.dump when requested. */
-template <typename Value>
-void
-dumpValues(const BlockPartition &g, const std::vector<Value> &values,
-           const CliOptions &cli, const char *value_name)
-{
-    if (cli.dump.empty())
-        return;
-    std::ofstream ofs(cli.dump);
-    if (!ofs)
-        fatal("cannot open '", cli.dump, "'");
-    ofs << "# vertex " << value_name << '\n';
-    if constexpr (std::is_arithmetic_v<Value>) {
-        // Un-permute so the dump is keyed by original vertex ids
-        // regardless of --reorder (DESIGN.md §11).  cc/lp labels are
-        // vertex ids themselves, so their values translate too.
-        std::vector<Value> out =
-            g.permutation().valuesToOriginal(values);
-        const std::string_view name(value_name);
-        if (name == "component" || name == "community") {
-            for (Value &x : out) {
-                const auto label = static_cast<VertexId>(x);
-                if (label < g.numVertices())
-                    x = static_cast<Value>(
-                        g.permutation().toOriginal(label));
-            }
-        }
-        for (VertexId v = 0; v < g.numVertices(); v++)
-            ofs << v << ' ' << out[v] << '\n';
+    if (!flags.get("graph").empty())
+        return loadEdgeListFile(flags.get("graph"));
+    if (!flags.get("dataset").empty()) {
+        return makeDataset(flags.get("dataset"), flags.getDouble("scale"),
+                           static_cast<std::uint64_t>(flags.getInt("seed")))
+            .graph;
     }
-    std::printf("wrote %u values to %s\n", g.numVertices(),
-                cli.dump.c_str());
+    flags.usage(argv0);
+    fatal("need --graph FILE or --dataset KEY");
 }
 
-/** Run an accumulative-delta program and print the common summary. */
-template <typename Program>
-int
-runAccumAlgorithm(const BlockPartition &g, Program program,
-                  const CliOptions &cli, const char *value_name)
+/** @return `names` joined as flag help: "a | b | c". */
+std::string
+alternatives(const std::vector<std::string> &names)
 {
-    std::vector<typename Program::Value> values;
-    AccumEngine<Program> engine(g, std::move(program), cli.opt);
-    EngineReport report = engine.run(values);
-    std::printf("%s in %.2f epochs (wall %s)\n",
-                report.converged ? "converged" : "stopped",
-                report.epochs,
-                formatSeconds(report.seconds).c_str());
-    dumpValues(g, values, cli, value_name);
-    return 0;
+    std::string out;
+    for (const std::string &name : names)
+        out += (out.empty() ? "" : " | ") + name;
+    return out;
 }
 
-/** Run `program` on the chosen engine and print the common summary. */
-template <typename Program>
 int
-runAlgorithm(const BlockPartition &g, Program program,
-             const CliOptions &cli, const char *value_name)
-{
-    std::vector<typename Program::Value> values;
-    double epochs = 0.0;
-    double seconds = 0.0;
-    bool converged = false;
-
-    if (cli.engine == "serial") {
-        SerialEngine<Program> engine(g, program, cli.opt);
-        EngineReport report = engine.run(values);
-        epochs = report.epochs;
-        seconds = report.seconds;
-        converged = report.converged;
-    } else if (cli.engine == "async") {
-        if constexpr (std::atomic<
-                          typename Program::Value>::is_always_lock_free) {
-            AsyncEngine<Program> engine(g, program, cli.opt);
-            EngineReport report = engine.run(values);
-            epochs = report.epochs;
-            seconds = report.seconds;
-            converged = report.converged;
-        } else {
-            fatal("--engine async needs a scalar-valued algorithm; "
-                  "use serial or sim");
-        }
-    } else if (cli.engine == "sim") {
-        HarpSystem<Program> sys(g, program, cli.opt, cli.harp);
-        SimReport report = sys.run(values);
-        epochs = report.epochs;
-        seconds = report.seconds;
-        converged = report.converged;
-        std::printf("simulated: %s, %.0f MTES, PE util %.2f, "
-                    "bus util %.2f\n",
-                    formatSeconds(report.seconds).c_str(), report.mtes,
-                    report.peUtilization, report.busUtilization);
-    } else {
-        fatal("unknown engine '", cli.engine,
-              "' (serial | async | accum | sim)");
-    }
-
-    std::printf("%s in %.2f epochs (%s %s)\n",
-                converged ? "converged" : "stopped", epochs,
-                cli.engine == "sim" ? "simulated" : "wall",
-                formatSeconds(seconds).c_str());
-
-    dumpValues(g, values, cli, value_name);
-    return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Flags flags;
-    flags.declare("algo", "pr",
-                  "pr | ppr | sssp | bfs | cc | lp | kcore | color");
+    flags.declare("algo", "pr", alternatives(algorithmNames()));
     flags.declare("graph", "",
                   "edge-list file (.el text, .bin, or packed .abcz)");
     flags.declare("dataset", "", "named stand-in (WT PS LJ TW ...)");
     flags.declareDouble("scale", 1.0, "dataset scale factor");
-    flags.declare("engine", "serial", "serial | async | accum | sim");
+    flags.declare("engine", "serial", alternatives(engineNames()));
     flags.declareInt("block-size", 512, "vertices per block");
     flags.declare("layout", "plain",
                   "physical layout: plain | compressed");
     flags.declare("reorder", "none", "vertex order: none | hub");
-    flags.declare("schedule", "cyclic",
-                  "cyclic | priority | random | obim");
-    flags.declareInt("threads", 4, "async engine worker threads");
-    flags.declareInt("pes", 16, "sim: FPGA PEs");
-    flags.declareBool("hybrid", false, "sim: CPU gather-apply workers");
+    flags.declare("schedule", "cyclic", "cyclic | priority | obim");
+    flags.declareInt("threads", 4, "threaded engines' participants");
+    flags.declareInt("fragments", 1, "fragment engine shard count");
     flags.declareInt("source", -1,
                      "sssp/bfs/ppr source (-1 = max-degree hub)");
     flags.declareInt("k", 3, "kcore: the k");
@@ -181,27 +88,7 @@ main(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
 
-    // ---------------------------------------------------------- graph
-    EdgeList el;
-    if (!flags.get("graph").empty()) {
-        const std::string &path = flags.get("graph");
-        if (path.size() > 5 &&
-            path.compare(path.size() - 5, 5, ".abcz") == 0)
-            el = loadEdgeListPacked(path);
-        else if (path.size() > 4 &&
-                 path.compare(path.size() - 4, 4, ".bin") == 0)
-            el = loadEdgeListBinary(path);
-        else
-            el = loadEdgeList(path);
-    } else if (!flags.get("dataset").empty()) {
-        el = makeDataset(flags.get("dataset"), flags.getDouble("scale"),
-                         static_cast<std::uint64_t>(flags.getInt("seed")))
-                 .graph;
-    } else {
-        flags.usage(argv[0]);
-        fatal("need --graph FILE or --dataset KEY");
-    }
-
+    EdgeList el = loadGraph(flags, argv[0]);
     const std::string algo = flags.get("algo");
     const bool undirected =
         algo == "cc" || algo == "lp" || algo == "kcore" ||
@@ -216,22 +103,41 @@ main(int argc, char **argv)
         return 0;
     }
 
-    CliOptions cli;
-    cli.engine = flags.get("engine");
-    cli.dump = flags.get("dump");
-    cli.opt.blockSize =
-        static_cast<VertexId>(flags.getInt("block-size"));
-    cli.opt.tolerance = flags.getDouble("tolerance");
-    cli.opt.maxEpochs = flags.getDouble("max-epochs");
-    cli.opt.numThreads =
-        static_cast<std::uint32_t>(flags.getInt("threads"));
-    const std::string sched = flags.get("schedule");
-    cli.opt.schedule = sched == "priority" ? Schedule::Priority
-        : sched == "random"                ? Schedule::Random
-        : sched == "obim"                  ? Schedule::Obim
-                                           : Schedule::Cyclic;
-    cli.harp.numPes = static_cast<std::uint32_t>(flags.getInt("pes"));
-    cli.harp.hybrid = flags.getBool("hybrid");
+    // Integer flags are clamped into their fields' ranges, so an
+    // out-of-range value is refused by the checks below or by
+    // runAnalyticsJob, never wrapped into a valid one.
+    auto clampFlag = [&](const char *name, std::int64_t lo) {
+        return static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+            flags.getInt(name), lo,
+            std::numeric_limits<std::uint32_t>::max()));
+    };
+    JobRequest req;
+    req.algo = algo;
+    req.engine = flags.get("engine");
+    req.k = clampFlag("k", 0);
+    req.options.blockSize = clampFlag("block-size", 1);
+    req.options.tolerance = flags.getDouble("tolerance");
+    req.options.maxEpochs = flags.getDouble("max-epochs");
+    req.options.numThreads = clampFlag("threads", 1);
+    req.options.fragments = clampFlag("fragments", 1);
+    if (auto sched = parseSchedule(flags.get("schedule")))
+        req.options.schedule = *sched;
+    else
+        fatal("unknown --schedule '", flags.get("schedule"),
+              "' (cyclic | priority | obim)");
+    std::string why;
+    if (!isRunnable(req, &why))
+        fatal(why);
+
+    // --source and the max-degree pick are original ids; the runner
+    // translates them across any --reorder (DESIGN.md §11).
+    if (flags.getInt("source") >= 0) {
+        req.source = clampFlag("source", 0);
+    } else {
+        const auto deg = el.outDegrees();
+        req.source = static_cast<VertexId>(
+            std::max_element(deg.begin(), deg.end()) - deg.begin());
+    }
 
     LayoutOptions lo;
     if (auto l = parseGraphLayout(flags.get("layout")))
@@ -245,10 +151,7 @@ main(int argc, char **argv)
         fatal("unknown --reorder '", flags.get("reorder"),
               "' (none | hub)");
 
-    BlockPartition g(el, cli.opt.blockSize, lo);
-    // The simulated DMA stream must reflect the built layout's
-    // measured topology bytes per edge.
-    cli.harp.layoutBytesPerEdge = g.gatherBytesPerEdge();
+    const BlockPartition g(el, req.options.blockSize, lo);
     if (lo.layout != GraphLayout::Plain ||
         lo.reorder != VertexReorder::None) {
         std::printf("layout: %s reorder=%s (%.2f topology B/edge)\n",
@@ -256,56 +159,38 @@ main(int argc, char **argv)
                     g.gatherBytesPerEdge());
     }
 
-    VertexId source;
-    if (flags.getInt("source") >= 0) {
-        source = static_cast<VertexId>(flags.getInt("source"));
-    } else {
-        auto deg = el.outDegrees();
-        source = static_cast<VertexId>(
-            std::max_element(deg.begin(), deg.end()) - deg.begin());
-    }
-    // Engines run in internal (reordered) ids; --source and the
-    // max-degree pick above are original ids (DESIGN.md §11).
-    source = g.permutation().toInternal(source);
+    const RunOutcome out = runAnalyticsJob(g, req);
+    if (!out.ok())
+        fatal(out.error);
+    std::printf("%s in %.2f epochs (wall %s)\n",
+                out.report.converged ? "converged" : "stopped",
+                out.report.epochs,
+                formatSeconds(out.report.seconds).c_str());
 
-    if (cli.engine == "accum") {
-        if (algo == "pr")
-            return runAccumAlgorithm(g, PageRankAccumProgram(), cli,
-                                     "rank");
-        if (algo == "sssp")
-            return runAccumAlgorithm(g, SsspAccumProgram(source), cli,
-                                     "distance");
-        if (algo == "bfs")
-            return runAccumAlgorithm(g, BfsAccumProgram(source), cli,
-                                     "depth");
-        if (algo == "cc")
-            return runAccumAlgorithm(g, CcAccumProgram(), cli,
-                                     "component");
-        fatal("--engine accum supports pr | sssp | bfs | cc");
+    const std::string &dump = flags.get("dump");
+    if (!dump.empty()) {
+        // Values come back keyed by original vertex ids.
+        std::ofstream ofs(dump);
+        if (!ofs)
+            fatal("cannot open '", dump, "'");
+        ofs << "# vertex " << algo << '\n';
+        for (VertexId v = 0; v < g.numVertices(); v++)
+            ofs << v << ' ' << out.values[v] << '\n';
+        std::printf("wrote %u values to %s\n", g.numVertices(),
+                    dump.c_str());
     }
-    if (algo == "pr")
-        return runAlgorithm(g, PageRankProgram(), cli, "rank");
-    if (algo == "ppr") {
-        return runAlgorithm(g, PersonalizedPageRankProgram(source), cli,
-                            "rank");
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const GraphError &e) {
+        std::fprintf(stderr, "abcd_cli: %s\n", e.what());
+        return 1;
     }
-    if (algo == "sssp")
-        return runAlgorithm(g, SsspProgram(source), cli, "distance");
-    if (algo == "bfs")
-        return runAlgorithm(g, BfsProgram(source), cli, "depth");
-    if (algo == "cc")
-        return runAlgorithm(g, CcProgram(), cli, "component");
-    if (algo == "lp") {
-        return runAlgorithm(g, LabelPropagationProgram(), cli,
-                            "community");
-    }
-    if (algo == "kcore") {
-        return runAlgorithm(
-            g,
-            KCoreProgram(static_cast<std::uint32_t>(flags.getInt("k"))),
-            cli, "in_core");
-    }
-    if (algo == "color")
-        return runAlgorithm(g, ColoringProgram(), cli, "packed_color");
-    fatal("unknown --algo '", algo, "'");
 }

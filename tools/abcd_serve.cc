@@ -9,8 +9,8 @@
  *        [undirected=0|1] [seed=N] [layout=plain|compressed]
  *        [reorder=none|hub]
  *   RUN <graph> <algo> [engine=serial|async|fragment|accum|sim]
- *       [tenant=NAME] [source=N] [priority=F] [timeout=F]
- *       [tolerance=F] [schedule=cyclic|priority|random|obim]
+ *       [tenant=NAME] [source=N] [k=N] [priority=F] [timeout=F]
+ *       [tolerance=F] [schedule=cyclic|priority|obim]
  *       [threads=N] [fragments=N] [max-epochs=F] [cached=0|1]
  *       [warm=0|1]
  *   STATUS <job-id>
@@ -23,6 +23,10 @@
  *   CONV <job-id> [file]  the job's convergence curve as CSV
  *   DUMP <file>           write a flight-recorder snapshot (black box)
  *   GRAPHS | STATS | HELP | QUIT
+ *
+ * LOAD and RUN lines parse in serve/protocol (strict numbers, known
+ * keys only); the algorithms and engines RUN accepts are the ones
+ * serve/runner lists.
  *
  * Debugging: --flight=PATH arms the flight recorder — fatal errors,
  * fatal signals, and watchdog stalls dump the black box (recent logs,
@@ -62,8 +66,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -74,54 +76,12 @@
 #include "obs/obs.hh"
 #include "serve/graph_registry.hh"
 #include "serve/job_manager.hh"
-#include "serve/runner.hh"
+#include "serve/protocol.hh"
 #include "support/flags.hh"
 
 using namespace graphabcd;
 
 namespace {
-
-/** Split a line into whitespace-separated tokens. */
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::istringstream iss(line);
-    std::vector<std::string> out;
-    std::string tok;
-    while (iss >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-/** Parse trailing key=value tokens into a map; bare tokens rejected. */
-bool
-parseParams(const std::vector<std::string> &tokens, std::size_t first,
-            std::map<std::string, std::string> &params)
-{
-    for (std::size_t i = first; i < tokens.size(); i++) {
-        const auto eq = tokens[i].find('=');
-        if (eq == std::string::npos || eq == 0)
-            return false;
-        params[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
-    }
-    return true;
-}
-
-double
-param(const std::map<std::string, std::string> &params,
-      const std::string &key, double fallback)
-{
-    auto it = params.find(key);
-    return it == params.end() ? fallback : std::stod(it->second);
-}
-
-std::string
-param(const std::map<std::string, std::string> &params,
-      const std::string &key, const std::string &fallback)
-{
-    auto it = params.find(key);
-    return it == params.end() ? fallback : it->second;
-}
 
 /** The REPL over one registry + one manager. */
 class ServeShell
@@ -177,8 +137,7 @@ class ServeShell
                 std::printf("ERR BadCommand unknown command '%s'\n",
                             cmd.c_str());
         } catch (const std::exception &e) {
-            // Bad numeric arguments (stoull/stod) land here; one bad
-            // request must never take the service down.
+            // One failing request must never take the service down.
             std::printf("ERR BadCommand %s\n", e.what());
         }
         return true;
@@ -196,62 +155,29 @@ class ServeShell
     void
     load(const std::vector<std::string> &tokens)
     {
-        std::map<std::string, std::string> params;
-        if (tokens.size() < 3 || !parseParams(tokens, 3, params)) {
-            std::printf("ERR BadCommand usage: LOAD <name> "
-                        "<dataset-or-file> [key=value...]\n");
+        LoadSpec spec;
+        std::string error;
+        if (!parseLoad(tokens, &spec, &error)) {
+            std::printf("ERR BadCommand %s\n", error.c_str());
             return;
         }
-        const std::string &name = tokens[1];
-        const std::string &src = tokens[2];
+        const std::string &src = spec.source;
         try {
             EdgeList el;
             if (src.find('.') != std::string::npos ||
                 src.find('/') != std::string::npos) {
-                if (src.size() > 5 &&
-                    src.compare(src.size() - 5, 5, ".abcz") == 0)
-                    el = loadEdgeListPacked(src);
-                else if (src.size() > 4 &&
-                         src.compare(src.size() - 4, 4, ".bin") == 0)
-                    el = loadEdgeListBinary(src);
-                else
-                    el = loadEdgeList(src);
+                el = loadEdgeListFile(src);
             } else {
-                el = makeDataset(src, param(params, "scale", 1.0),
-                                 static_cast<std::uint64_t>(
-                                     param(params, "seed", 42.0)))
-                         .graph;
+                el = makeDataset(src, spec.scale, spec.seed).graph;
             }
-            if (param(params, "undirected", 0.0) != 0.0)
+            if (spec.undirected)
                 el = el.symmetrized();
-            const auto block_size = static_cast<VertexId>(
-                param(params, "block-size", 512.0));
-            LayoutOptions lo;
-            const std::string layout =
-                param(params, "layout", std::string("plain"));
-            const std::string reorder =
-                param(params, "reorder", std::string("none"));
-            if (auto l = parseGraphLayout(layout)) {
-                lo.layout = *l;
-            } else {
-                std::printf("ERR BadCommand unknown layout '%s' "
-                            "(plain|compressed)\n",
-                            layout.c_str());
-                return;
-            }
-            if (auto r = parseVertexReorder(reorder)) {
-                lo.reorder = *r;
-            } else {
-                std::printf("ERR BadCommand unknown reorder '%s' "
-                            "(none|hub)\n",
-                            reorder.c_str());
-                return;
-            }
-            auto g = registry_.add(name, el, block_size, lo);
+            auto g = registry_.add(spec.name, el, spec.blockSize,
+                                   spec.layout);
             std::printf(
                 "OK graph %s vertices=%u edges=%llu blocks=%u "
                 "layout=%s reorder=%s\n",
-                name.c_str(), g->numVertices(),
+                spec.name.c_str(), g->numVertices(),
                 static_cast<unsigned long long>(g->numEdges()),
                 g->numBlocks(), to_string(g->layout()),
                 to_string(g->reorder()));
@@ -263,37 +189,13 @@ class ServeShell
     void
     run(const std::vector<std::string> &tokens)
     {
-        std::map<std::string, std::string> params;
-        if (tokens.size() < 3 || !parseParams(tokens, 3, params)) {
-            std::printf("ERR BadCommand usage: RUN <graph> <algo> "
-                        "[key=value...]\n");
+        JobRequest req;
+        req.options.fragments = defaultFragments_;
+        std::string error;
+        if (!parseRun(tokens, &req, &error)) {
+            std::printf("ERR BadCommand %s\n", error.c_str());
             return;
         }
-        JobRequest req;
-        req.graph = tokens[1];
-        req.algo = tokens[2];
-        req.engine = param(params, "engine", std::string("serial"));
-        req.tenant = param(params, "tenant", std::string());
-        req.source =
-            static_cast<VertexId>(param(params, "source", 0.0));
-        req.priority = param(params, "priority", 0.0);
-        req.timeoutSeconds = param(params, "timeout", 0.0);
-        req.allowCached = param(params, "cached", 1.0) != 0.0;
-        req.allowWarmStart = param(params, "warm", 1.0) != 0.0;
-        req.options.tolerance = param(params, "tolerance", 1e-7);
-        req.options.maxEpochs = param(params, "max-epochs", 10000.0);
-        req.options.numThreads =
-            static_cast<std::uint32_t>(param(params, "threads", 4.0));
-        req.options.fragments = static_cast<std::uint32_t>(
-            param(params, "fragments",
-                  static_cast<double>(defaultFragments_)));
-        const std::string sched =
-            param(params, "schedule", std::string("cyclic"));
-        req.options.schedule = sched == "priority" ? Schedule::Priority
-            : sched == "random"                    ? Schedule::Random
-            : sched == "obim"                      ? Schedule::Obim
-                                                   : Schedule::Cyclic;
-
         JobManager::Submitted sub = manager_.submit(std::move(req));
         if (sub.ok())
             std::printf("OK job %llu\n",
@@ -324,11 +226,13 @@ class ServeShell
     bool
     parseId(const std::vector<std::string> &tokens, JobId &id)
     {
-        if (tokens.size() < 2) {
-            std::printf("ERR BadCommand missing job id\n");
+        const auto parsed =
+            tokens.size() < 2 ? std::nullopt : parseUnsigned(tokens[1]);
+        if (!parsed) {
+            std::printf("ERR BadCommand want a job id\n");
             return false;
         }
-        id = static_cast<JobId>(std::stoull(tokens[1]));
+        id = *parsed;
         return true;
     }
 
@@ -351,9 +255,13 @@ class ServeShell
         JobId id;
         if (!parseId(tokens, id))
             return;
-        const double timeout =
-            tokens.size() > 2 ? std::stod(tokens[2]) : -1.0;
-        if (!manager_.wait(id, timeout)) {
+        const auto timeout =
+            tokens.size() > 2 ? parseReal(tokens[2]) : -1.0;
+        if (!timeout) {
+            std::printf("ERR BadCommand want a timeout in seconds\n");
+            return;
+        }
+        if (!manager_.wait(id, *timeout)) {
             std::printf("ERR Timeout job %llu still running\n",
                         static_cast<unsigned long long>(id));
             return;
@@ -395,13 +303,15 @@ class ServeShell
                         static_cast<unsigned long long>(id));
             return;
         }
-        const auto v =
-            static_cast<std::size_t>(std::stoull(tokens[2]));
-        if (v >= result->values.size()) {
-            std::printf("ERR BadCommand vertex %zu out of range\n", v);
+        const auto v = parseUnsigned(tokens[2]);
+        if (!v || *v >= result->values.size()) {
+            std::printf("ERR BadCommand vertex %s out of range\n",
+                        tokens[2].c_str());
             return;
         }
-        std::printf("OK value %zu %.10g\n", v, result->values[v]);
+        std::printf("OK value %llu %.10g\n",
+                    static_cast<unsigned long long>(*v),
+                    result->values[*v]);
     }
 
     void
